@@ -31,7 +31,7 @@ class EsperEngine(BaselineBase):
     ) -> List[Match]:
         j = self._next_pos(pos)
         now = float(j) if ts is None else ts
-        bv = self.index.bitvector(t)
+        mask = self.index.mask(t)
         tau = -float("inf") if self.window is None else now - self.window
 
         new_buffers: Dict[int, List[tuple]] = {}
@@ -64,11 +64,11 @@ class EsperEngine(BaselineBase):
                     matches.append((sp, j, ps))
 
         # New runs start here.
-        for (mark, dst) in self._transitions(self.q0, bv):
+        for (mark, dst) in self._transitions(self.q0, mask):
             deliver(dst, mark, [(j, now, ())])
         # Extend retained partial matches, one guard evaluation per state.
         for state, pms in self.buffers.items():
-            trans = self._transitions(state, bv)
+            trans = self._transitions(state, mask)
             if not trans:
                 continue
             live = [pm for pm in pms if pm[1] >= tau]

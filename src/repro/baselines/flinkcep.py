@@ -46,7 +46,7 @@ class FlinkCepEngine(BaselineBase):
     ) -> List[Match]:
         j = self._next_pos(pos)
         now = float(j) if ts is None else ts
-        bv = self.index.bitvector(t)
+        mask = self.index.mask(t)
         tau = -float("inf") if self.window is None else now - self.window
 
         # State-backend read (deserialization).
@@ -60,7 +60,7 @@ class FlinkCepEngine(BaselineBase):
         def fire(state, start_pos, start_ts, cons):
             if cap is not None and len(new_runs) >= cap:
                 return
-            for (mark, dst) in self._transitions(state, bv):
+            for (mark, dst) in self._transitions(state, mask):
                 nc = (j, cons) if mark else cons
                 new_runs.append((dst, start_pos, start_ts, nc))
                 if dst in self.finals and (

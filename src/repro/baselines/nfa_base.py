@@ -67,11 +67,12 @@ class BaselineBase:
         self.n_events += 1
         return j
 
-    def _transitions(self, state: int, bv) -> List[Tuple[bool, int]]:
-        """Applicable ``(mark, dst)`` pairs for a state under bit-vector bv,
-        with the skip-till-next-match restriction when selection='next'."""
+    def _transitions(self, state: int, mask: int) -> List[Tuple[bool, int]]:
+        """Applicable ``(mark, dst)`` pairs for a state on a tuple with
+        predicate mask ``mask`` (``PredicateIndex.mask``), with the
+        skip-till-next-match restriction when selection='next'."""
         sat = self.index.satisfies
-        out = [(mark, dst) for (g, mark, dst) in self.adj.get(state, ()) if sat(g, bv)]
+        out = [(mark, dst) for (g, mark, dst) in self.adj.get(state, ()) if sat(g, mask)]
         if self.selection == "next" and any(m for m, _ in out):
             out = [(m, d) for (m, d) in out if m]
         return out

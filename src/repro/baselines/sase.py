@@ -39,7 +39,7 @@ class SaseEngine(BaselineBase):
     ) -> List[Match]:
         j = self._next_pos(pos)
         now = float(j) if ts is None else ts
-        bv = self.index.bitvector(t)
+        mask = self.index.mask(t)
         tau = -float("inf") if self.window is None else now - self.window
 
         new_runs: List[tuple] = []
@@ -50,7 +50,7 @@ class SaseEngine(BaselineBase):
         def fire(state, start_pos, start_ts, positions):
             if cap is not None and len(new_runs) >= cap:
                 return
-            for (mark, dst) in self._transitions(state, bv):
+            for (mark, dst) in self._transitions(state, mask):
                 np = positions + (j,) if mark else positions
                 new_runs.append((dst, start_pos, start_ts, np))
                 if dst in self.finals and (

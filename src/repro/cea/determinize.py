@@ -7,8 +7,9 @@ exactly as CORE does — we determinize lazily while the stream is processed:
 
 * a deterministic state is a frozenset of NFA states, interned to a small int;
 * the tuple is first reduced to its predicate **bit-vector** (Section 5.4,
-  see :class:`repro.cea.predicates.PredicateIndex`), and the pair
-  ``(det_state, bit-vector)`` keys a transition cache, so each distinct
+  see :meth:`repro.cea.predicates.PredicateIndex.mask`), an ``int`` whose
+  bit ``i`` says whether atom ``i`` holds, and the pair
+  ``(det_state, mask)`` keys a transition cache, so each distinct
   combination is computed only once and each predicate is evaluated once per
   tuple.
 
@@ -25,7 +26,8 @@ from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from .automaton import CEA
 
-BitVec = Tuple[bool, ...]
+# A tuple's predicate bit-vector as an int mask (``PredicateIndex.mask``).
+BitVec = int
 
 
 class DetCEA:
@@ -41,7 +43,7 @@ class DetCEA:
         self._ids: Dict[FrozenSet[int], int] = {}
         self._finals: List[bool] = []
         self.q0 = self._intern(frozenset({cea.q0}))
-        # (det_state, bitvec) -> (marking successor | None, non-marking | None)
+        # (det_state, mask) -> (marking successor | None, non-marking | None)
         self._cache: Dict[Tuple[int, BitVec], Tuple[Optional[int], Optional[int]]] = {}
 
     def _intern(self, s: FrozenSet[int]) -> int:
@@ -63,12 +65,12 @@ class DetCEA:
     def n_det_states(self) -> int:
         return len(self._sets)
 
-    def step(self, det_id: int, bv: BitVec) -> Tuple[Optional[int], Optional[int]]:
-        """Successors of ``det_id`` on a tuple with bit-vector ``bv``.
+    def step(self, det_id: int, mask: BitVec) -> Tuple[Optional[int], Optional[int]]:
+        """Successors of ``det_id`` on a tuple with predicate mask ``mask``.
 
         Returns ``(q_mark, q_unmark)``, each a det-state id or None.
         """
-        key = (det_id, bv)
+        key = (det_id, mask)
         hit = self._cache.get(key)
         if hit is not None:
             return hit
@@ -78,7 +80,7 @@ class DetCEA:
         unmark_set: set = set()
         for p in self._sets[det_id]:
             for (g, mark, dst) in adj.get(p, ()):
-                if sat(g, bv):
+                if sat(g, mask):
                     (mark_set if mark else unmark_set).add(dst)
         q_mark = self._intern(frozenset(mark_set)) if mark_set else None
         q_unmark = self._intern(frozenset(unmark_set)) if unmark_set else None

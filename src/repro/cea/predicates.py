@@ -10,14 +10,24 @@ Following Section 5.4, CORE collects every distinct atom of a query into a
 list ``P_1..P_k`` and evaluates each arriving tuple **once** against it,
 producing a bit-vector that is then the tuple's internal representation: the
 engines test guards against the bit-vector, and the determinization cache is
-keyed on ``(state, bit-vector)``.
+keyed on ``(state, bit-vector)``. The bit-vector is a Python ``int`` mask
+(bit ``i`` set iff ``P_i`` holds), so a guard test is one ``&`` and the cache
+key is a small int.
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
-from typing import Any, FrozenSet, Iterable, Mapping, Tuple
+from typing import Any, Callable, Dict, FrozenSet, Iterable, List, Mapping, Tuple
 
-_OPS = ("==", "!=", "<", "<=", ">", ">=")
+_OPS = {
+    "==": operator.eq,
+    "!=": operator.ne,
+    "<": operator.lt,
+    "<=": operator.le,
+    ">": operator.gt,
+    ">=": operator.ge,
+}
 
 
 @dataclass(frozen=True)
@@ -78,18 +88,54 @@ def guard(*atoms: Atom) -> Guard:
     return frozenset(atoms)
 
 
+# Per-atom comparisons ``(op, constant, bit)`` on one attribute's value.
+_Checks = Iterable[Tuple[Callable[[Any, Any], Any], Any, int]]
+
+
+def _compare(v: Any, checks: _Checks) -> int:
+    """Bits of the ``checks`` that non-NULL value ``v`` satisfies, with
+    :meth:`Atom.eval`'s semantics (incomparable types satisfy nothing)."""
+    m = 0
+    for op, c, bit in checks:
+        try:
+            if op(v, c):
+                m |= bit
+        except TypeError:
+            pass
+    return m
+
+
 class PredicateIndex:
     """Maps the distinct atoms of a query to bit positions.
 
-    ``bitvector(t)`` evaluates every atom once on ``t`` and returns a
-    ``Tuple[bool, ...]`` — hashable, so it doubles as the cache key for
-    on-the-fly determinization (Section 5.4). ``satisfies(g, bv)`` tests a
-    conjunction guard against a bit-vector without touching the tuple again.
+    ``mask(t)`` evaluates every atom once on ``t`` and returns an ``int``
+    whose bit ``i`` is set iff atom ``i`` holds — hashable and cheap to
+    compare, so it doubles as the cache key for on-the-fly determinization
+    (Section 5.4). ``satisfies(g, mask)`` tests a conjunction guard against
+    a mask without touching the tuple again: ``mask & bits(g) == bits(g)``.
+
+    Equality atoms, almost all of a query's atoms (event types, names), are
+    grouped per attribute into one ``{constant: bits}`` table, so a tuple
+    costs one dict lookup per equality-tested attribute plus one comparison
+    per other atom. ``bitvector(t)`` is the per-atom reference the mask is
+    tested against.
     """
 
     def __init__(self, atoms: Iterable[Atom]):
         self._atoms: Tuple[Atom, ...] = tuple(dict.fromkeys(atoms))
-        self._ids = {a: i for i, a in enumerate(self._atoms)}
+        tables: Dict[str, Dict[Any, int]] = {}
+        other: Dict[str, List] = {}
+        for i, a in enumerate(self._atoms):
+            # A NaN constant equals nothing, yet a dict lookup would find it
+            # by identity: keep it out of the table.
+            if a.op == "==" and a.value == a.value:
+                table = tables.setdefault(a.attr, {})
+                table[a.value] = table.get(a.value, 0) | 1 << i
+            else:
+                other.setdefault(a.attr, []).append((_OPS[a.op], a.value, 1 << i))
+        self._eq = tuple(tables.items())
+        self._other = tuple((k, tuple(v)) for k, v in other.items())
+        self._gbits: Dict[Guard, int] = {}  # guard -> its atoms' bits, lazily
 
     @property
     def atoms(self) -> Tuple[Atom, ...]:
@@ -99,8 +145,29 @@ class PredicateIndex:
         return len(self._atoms)
 
     def bitvector(self, t: Mapping[str, Any]) -> Tuple[bool, ...]:
+        """Per-atom reference: ``Atom.eval`` of every atom, in bit order."""
         return tuple(a.eval(t) for a in self._atoms)
 
-    def satisfies(self, g: Guard, bv: Tuple[bool, ...]) -> bool:
-        ids = self._ids
-        return all(bv[ids[a]] for a in g)
+    def mask(self, t: Mapping[str, Any]) -> int:
+        """The tuple's predicate bit-vector as an int: bit ``i`` is set iff
+        ``atoms[i].eval(t)``. A missing attribute or ``None`` sets no bit."""
+        get = t.get
+        m = 0
+        for attr, table in self._eq:
+            v = get(attr)
+            if v is not None:
+                try:
+                    m |= table.get(v, 0)
+                except TypeError:  # unhashable value: compare atom by atom
+                    m |= _compare(v, [(operator.eq, c, b) for c, b in table.items()])
+        for attr, checks in self._other:
+            v = get(attr)
+            if v is not None:
+                m |= _compare(v, checks)
+        return m
+
+    def satisfies(self, g: Guard, mask: int) -> bool:
+        gb = self._gbits.get(g)
+        if gb is None:
+            gb = self._gbits[g] = sum(1 << self._atoms.index(a) for a in g)
+        return mask & gb == gb

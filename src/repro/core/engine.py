@@ -3,12 +3,19 @@
 Per input tuple the engine:
 
 1. evaluates every distinct atomic predicate once, producing the tuple's
-   bit-vector (Section 5.4);
+   bit-vector as an ``int`` mask (Section 5.4) — the key of every
+   ``DetCEA.step`` below;
 2. starts a potential new run from the (I/O-determinized, on-the-fly) initial
-   state with a fresh bottom node — runs may begin at any stream position;
+   state — runs may begin at any stream position. The successors are looked
+   up first, and the fresh bottom node is built only when the initial state
+   has one, so a tuple no run can start on allocates nothing;
 3. executes the marking/non-marking transitions of every active state in
    *insertion order* (``ordered-keys``), which processes states in
-   non-increasing max-start order — the precondition of ``insert``;
+   non-increasing max-start order — the precondition of ``insert``. States
+   without a successor are skipped, and ``merge(ul)`` is built only when it
+   is used: for a marking successor, or when the non-marking successor is
+   already in ``T2`` (the ``insert`` case). A non-marking successor new to
+   ``T2`` takes a copy of the union-list itself;
 4. enumerates all complex events ending here from the union-lists of final
    states (Algorithm 2), with output-linear delay;
 5. prunes union-list tails whose max-start fell out of the WITHIN window —
@@ -106,15 +113,27 @@ class CoreEngine:
 
         t0 = time.perf_counter() if self.timed else 0.0
 
-        bv = self.det.index.bitvector(t)
+        m = self.det.index.mask(t)
+        step = self.det.step
         T2: Dict[int, List[Node]] = {}
         # Lines 7-8: a new run may start at the current position.
-        b = self.tecs.bottom(j, now)
-        self._exec_trans(self.det.q0, [b], b, bv, j, T2)
+        q_mark, q_unmark = step(self.det.q0, m)
+        if q_mark is not None or q_unmark is not None:
+            b = self.tecs.bottom(j, now)
+            self._exec_trans(q_mark, q_unmark, [b], b, j, T2)
         # Lines 9-10: extend every active state, in insertion order.
         for p, ul in self.T.items():
+            q_mark, q_unmark = step(p, m)
+            if q_mark is None:
+                # merge(ul) is then needed only to insert into a union-list
+                # already in T2.
+                if q_unmark is None:
+                    continue
+                if q_unmark not in T2:
+                    T2[q_unmark] = list(ul)
+                    continue
             n = ul[0] if len(ul) == 1 else self.tecs.merge(ul)
-            self._exec_trans(p, ul, n, bv, j, T2)
+            self._exec_trans(q_mark, q_unmark, ul, n, j, T2)
         self.T = T2
 
         if self.timed:
@@ -159,15 +178,15 @@ class CoreEngine:
     # ------------------------------------------------------------------
     def _exec_trans(
         self,
-        p: int,
+        q_mark: Optional[int],
+        q_unmark: Optional[int],
         ul: List[Node],
         n: Node,
-        bv,
         j: int,
         T2: Dict[int, List[Node]],
     ) -> None:
-        """ExecTrans (Algorithm 1 lines 13-20): ``n`` is merge(ul)."""
-        q_mark, q_unmark = self.det.step(p, bv)
+        """ExecTrans (Algorithm 1 lines 13-20) for the successors of a
+        state with union-list ``ul``; ``n`` is merge(ul)."""
         if q_mark is not None:
             n2 = self.tecs.extend(n, j)
             cur = T2.get(q_mark)

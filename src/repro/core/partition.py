@@ -9,7 +9,8 @@ running one instance of the main algorithm per partition — so does
 baseline) and routes each tuple to its partition's instance.
 
 Tuples with NULL in any partition attribute belong to no substream and are
-skipped, per the Section 3 semantics. Positions and times passed through are
+skipped, per the Section 3 semantics. A float NaN is NULL here, as it is in
+pandas and in the Spark path (``dropna`` before grouping). Positions and times passed through are
 the *global* ones, so outputs are comparable across engines and with the
 SQL oracle.
 """
@@ -52,7 +53,7 @@ class PartitionedEngine:
         self._count += 1
         self.n_events += 1
         key = tuple(t.get(a) for a in self.partition_by)
-        if any(v is None for v in key):
+        if any(v is None or (isinstance(v, float) and v != v) for v in key):
             return []
         eng = self.engines.get(key)
         if eng is None:

@@ -118,25 +118,25 @@ def test_cea_pickle_roundtrip():
 def test_detcea_interns_states_and_caches():
     cea = compile_cel(cel.seq(_atomic("A"), _atomic("B")))
     det = DetCEA(cea)
-    bv_a = cea.index.bitvector({"type": "A"})
-    r1 = det.step(det.q0, bv_a)
-    r2 = det.step(det.q0, bv_a)
+    m_a = cea.index.mask({"type": "A"})
+    r1 = det.step(det.q0, m_a)
+    r2 = det.step(det.q0, m_a)
     assert r1 == r2
     assert det.n_det_states >= 2
 
 
 def test_detcea_io_determinism():
-    # From any reached det state and bitvector: at most one marking and one
-    # non-marking successor (that is the I/O-determinism invariant).
+    # From any reached det state and predicate mask: at most one marking and
+    # one non-marking successor (that is the I/O-determinism invariant).
     cea = compile_cel(cel.Plus(cel.Or(_atomic("A"), _atomic("B"))))
     det = DetCEA(cea)
-    bvs = [cea.index.bitvector({"type": t}) for t in ("A", "B", "C")]
+    masks = [cea.index.mask({"type": t}) for t in ("A", "B", "C")]
     frontier = [det.q0]
     seen = set(frontier)
     while frontier:
         s = frontier.pop()
-        for bv in bvs:
-            qm, qu = det.step(s, bv)
+        for m in masks:
+            qm, qu = det.step(s, m)
             for q in (qm, qu):
                 if q is not None and q not in seen:
                     seen.add(q)
@@ -148,13 +148,13 @@ def test_detcea_next_strategy_suppresses_unmark_branch():
     cea = compile_cel(cel.Seq(_atomic("A"), _atomic("B")))
     det_all = DetCEA(cea, strategy="all")
     det_next = DetCEA(cea, strategy="next")
-    bv_a = cea.index.bitvector({"type": "A"})
-    qm, _ = det_all.step(det_all.q0, bv_a)
+    m_a = cea.index.mask({"type": "A"})
+    qm, _ = det_all.step(det_all.q0, m_a)
     # state after A; reading B branches under ALL, not under NEXT
-    bv_b = cea.index.bitvector({"type": "B"})
-    m_all, u_all = det_all.step(qm, bv_b)
-    qm2, _ = det_next.step(det_next.q0, bv_a)
-    m_next, u_next = det_next.step(qm2, bv_b)
+    m_b = cea.index.mask({"type": "B"})
+    m_all, u_all = det_all.step(qm, m_b)
+    qm2, _ = det_next.step(det_next.q0, m_a)
+    m_next, u_next = det_next.step(qm2, m_b)
     assert m_all is not None and u_all is not None
     assert m_next is not None and u_next is None
 

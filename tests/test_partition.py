@@ -33,6 +33,21 @@ def test_null_partition_attribute_excluded():
     assert out == [(0, 2, (0, 2))]
 
 
+def test_nan_partition_attribute_excluded():
+    # NaN is NULL: such events belong to no substream, as run_batch's dropna
+    # does on Spark. Each NaN is its own float object, so keying on it would
+    # open one partition per event.
+    eng = make_partitioned("core", SEQ, ["name", "vol"])
+    stream = [{"type": t, "name": "x", "vol": float("nan")} for t in "ABABA"]
+    stream += [{"type": "A", "name": "x", "vol": 1.0}, {"type": "B", "name": "x", "vol": 1.0}]
+    out = []
+    for i, t in enumerate(stream):
+        out.extend(eng.process(t, pos=i))
+    assert out == [(5, 6, (5, 6))]
+    assert eng.n_partitions == 1
+    assert eng.n_events == len(stream)
+
+
 def test_multi_attribute_partitioning():
     eng = make_partitioned("core", SEQ, ["name", "vol"])
     stream = [
