@@ -143,7 +143,7 @@ def build() -> str:
         "Workload: `A1;…;An`, n ∈ {3,5,7,9}, count window T=100, uniform "
         "stream over the query's types + 6 noise types, consumption on. "
         "Regenerate: `pytest benchmarks/bench_table1_sequence.py "
-        "--benchmark-only` (or `spark-submit jobs/table1_sequence.py`).",
+        "--benchmark-only` (or `spark-submit jobs/run_table.py --table 1`).",
         "",
     ]
     if rows:

@@ -11,7 +11,7 @@ Full operator support (disjunction, iteration), unlike SASE.
 """
 from __future__ import annotations
 
-from typing import Any, Dict, List, Mapping, Optional
+from typing import Dict, List
 
 from .nfa_base import BaselineBase, Match
 
@@ -22,16 +22,10 @@ class EsperEngine(BaselineBase):
         # state -> list of (start_pos, start_ts, positions-tuple)
         self.buffers: Dict[int, List[tuple]] = {}
 
-    def process(
-        self,
-        t: Mapping[str, Any],
-        ts: Optional[float] = None,
-        pos: Optional[int] = None,
-        enumerate_outputs: bool = True,
+    def step(
+        self, mask: int, pos: int, now: float, enumerate_outputs: bool = True
     ) -> List[Match]:
-        j = self._next_pos(pos)
-        now = float(j) if ts is None else ts
-        mask = self.index.mask(t)
+        self.n_events += 1
         tau = -float("inf") if self.window is None else now - self.window
 
         new_buffers: Dict[int, List[tuple]] = {}
@@ -49,7 +43,7 @@ class EsperEngine(BaselineBase):
                 count[0] += len(pms)
             if mark:
                 # MatchedEventMap semantics: copy the collection on extension.
-                ext = [(sp, st, ps + (j,)) for (sp, st, ps) in pms]
+                ext = [(sp, st, ps + (pos,)) for (sp, st, ps) in pms]
             else:
                 ext = pms
             tgt = new_buffers.get(dst)
@@ -61,11 +55,11 @@ class EsperEngine(BaselineBase):
                 for (sp, _, ps) in ext:
                     if self.limit is not None and len(matches) >= self.limit:
                         break
-                    matches.append((sp, j, ps))
+                    matches.append((sp, pos, ps))
 
         # New runs start here.
         for (mark, dst) in self._transitions(self.q0, mask):
-            deliver(dst, mark, [(j, now, ())])
+            deliver(dst, mark, [(pos, now, ())])
         # Extend retained partial matches, one guard evaluation per state.
         for state, pms in self.buffers.items():
             trans = self._transitions(state, mask)

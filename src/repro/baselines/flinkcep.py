@@ -16,7 +16,7 @@ at n=9). Match extraction walks the predecessor chains, as Flink's
 from __future__ import annotations
 
 import pickle
-from typing import Any, List, Mapping, Optional
+from typing import List
 
 from .nfa_base import BaselineBase, Match
 
@@ -37,16 +37,10 @@ class FlinkCepEngine(BaselineBase):
         # (state, start_pos, start_ts, cons-of-positions).
         self._state_blob: bytes = pickle.dumps([])
 
-    def process(
-        self,
-        t: Mapping[str, Any],
-        ts: Optional[float] = None,
-        pos: Optional[int] = None,
-        enumerate_outputs: bool = True,
+    def step(
+        self, mask: int, pos: int, now: float, enumerate_outputs: bool = True
     ) -> List[Match]:
-        j = self._next_pos(pos)
-        now = float(j) if ts is None else ts
-        mask = self.index.mask(t)
+        self.n_events += 1
         tau = -float("inf") if self.window is None else now - self.window
 
         # State-backend read (deserialization).
@@ -61,14 +55,14 @@ class FlinkCepEngine(BaselineBase):
             if cap is not None and len(new_runs) >= cap:
                 return
             for (mark, dst) in self._transitions(state, mask):
-                nc = (j, cons) if mark else cons
+                nc = (pos, cons) if mark else cons
                 new_runs.append((dst, start_pos, start_ts, nc))
                 if dst in self.finals and (
                     self.limit is None or len(matches) < self.limit
                 ):
-                    matches.append((start_pos, j, _materialize(nc)))
+                    matches.append((start_pos, pos, _materialize(nc)))
 
-        fire(self.q0, j, now, None)
+        fire(self.q0, pos, now, None)
         for (state, start_pos, start_ts, cons) in runs:
             if start_ts < tau:
                 continue

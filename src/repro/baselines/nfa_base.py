@@ -61,11 +61,28 @@ class BaselineBase:
         self.n_events = 0
         self.n_outputs = 0
 
-    def _next_pos(self, pos: Optional[int]) -> int:
+    def process(
+        self,
+        t: Mapping[str, Any],
+        ts: Optional[float] = None,
+        pos: Optional[int] = None,
+        enumerate_outputs: bool = True,
+    ) -> List[Match]:
+        """Feed one tuple (see ``CoreEngine.process``): compute its predicate
+        mask and call ``step``."""
         j = self._count if pos is None else pos
         self._count += 1
-        self.n_events += 1
-        return j
+        return self.step(
+            self.index.mask(t), j, float(j) if ts is None else ts, enumerate_outputs
+        )
+
+    def step(
+        self, mask: int, pos: int, now: float, enumerate_outputs: bool = True
+    ) -> List[Match]:  # overridden
+        """Advance every partial match on a tuple with predicate mask
+        ``mask`` at stream position ``pos`` and time ``now``; return the
+        complex events ending there."""
+        raise NotImplementedError
 
     def _transitions(self, state: int, mask: int) -> List[Tuple[bool, int]]:
         """Applicable ``(mark, dst)`` pairs for a state on a tuple with

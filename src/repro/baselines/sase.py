@@ -13,7 +13,7 @@ D3/D5 and Q4–Q7 exactly like Section 6 does.
 """
 from __future__ import annotations
 
-from typing import Any, List, Mapping, Optional
+from typing import List
 
 from ..cea import cel
 from .nfa_base import BaselineBase, Match
@@ -30,16 +30,10 @@ class SaseEngine(BaselineBase):
         # runs: (state, start_pos, start_ts, positions-tuple)
         self.runs: List[tuple] = []
 
-    def process(
-        self,
-        t: Mapping[str, Any],
-        ts: Optional[float] = None,
-        pos: Optional[int] = None,
-        enumerate_outputs: bool = True,
+    def step(
+        self, mask: int, pos: int, now: float, enumerate_outputs: bool = True
     ) -> List[Match]:
-        j = self._next_pos(pos)
-        now = float(j) if ts is None else ts
-        mask = self.index.mask(t)
+        self.n_events += 1
         tau = -float("inf") if self.window is None else now - self.window
 
         new_runs: List[tuple] = []
@@ -51,15 +45,15 @@ class SaseEngine(BaselineBase):
             if cap is not None and len(new_runs) >= cap:
                 return
             for (mark, dst) in self._transitions(state, mask):
-                np = positions + (j,) if mark else positions
+                np = positions + (pos,) if mark else positions
                 new_runs.append((dst, start_pos, start_ts, np))
                 if dst in self.finals and (
                     self.limit is None or len(matches) < self.limit
                 ):
-                    matches.append((start_pos, j, np))
+                    matches.append((start_pos, pos, np))
 
         # A new run may start at every position.
-        fire(self.q0, j, now, ())
+        fire(self.q0, pos, now, ())
         for (state, start_pos, start_ts, positions) in self.runs:
             if start_ts < tau:
                 continue  # window pruning

@@ -58,9 +58,6 @@ class DetCEA:
     def is_final(self, det_id: int) -> bool:
         return self._finals[det_id]
 
-    def nfa_states(self, det_id: int) -> FrozenSet[int]:
-        return self._sets[det_id]
-
     @property
     def n_det_states(self) -> int:
         return len(self._sets)

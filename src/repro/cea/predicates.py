@@ -12,13 +12,17 @@ producing a bit-vector that is then the tuple's internal representation: the
 engines test guards against the bit-vector, and the determinization cache is
 keyed on ``(state, bit-vector)``. The bit-vector is a Python ``int`` mask
 (bit ``i`` set iff ``P_i`` holds), so a guard test is one ``&`` and the cache
-key is a small int.
+key is a small int. ``masks(frame)`` computes the masks of a whole pandas
+batch column by column, for the Spark paths.
 """
 from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, FrozenSet, Iterable, List, Mapping, Tuple
+
+import numpy as np
+import pandas as pd
 
 _OPS = {
     "==": operator.eq,
@@ -118,7 +122,8 @@ class PredicateIndex:
     grouped per attribute into one ``{constant: bits}`` table, so a tuple
     costs one dict lookup per equality-tested attribute plus one comparison
     per other atom. ``bitvector(t)`` is the per-atom reference the mask is
-    tested against.
+    tested against. ``masks(frame)`` gives every row's mask of a pandas
+    batch with one column operation per attribute.
     """
 
     def __init__(self, atoms: Iterable[Atom]):
@@ -135,6 +140,7 @@ class PredicateIndex:
                 other.setdefault(a.attr, []).append((_OPS[a.op], a.value, 1 << i))
         self._eq = tuple(tables.items())
         self._other = tuple((k, tuple(v)) for k, v in other.items())
+        self._attrs = tuple(dict.fromkeys(a.attr for a in self._atoms))
         self._gbits: Dict[Guard, int] = {}  # guard -> its atoms' bits, lazily
 
     @property
@@ -165,6 +171,28 @@ class PredicateIndex:
             if v is not None:
                 m |= _compare(v, checks)
         return m
+
+    def masks(self, frame: pd.DataFrame) -> List[int]:
+        """``mask`` of every row of ``frame``, in row order, where None, NaN
+        and NaT read as NULL (a missing column is NULL throughout).
+
+        Each column is factorized and ``mask`` is evaluated once per
+        distinct value, so equality is Python ``==`` and an incomparable
+        value sets no bit. Past 62 atoms the masks are Python ints, not int64.
+        """
+        dtype = object if len(self._atoms) > 62 else np.int64
+        out = np.zeros(len(frame), dtype)
+        for attr in self._attrs:
+            if attr not in frame.columns:
+                continue
+            col = frame[attr]
+            try:
+                codes, uniques = pd.factorize(col)  # NULLs get code -1
+            except TypeError:  # unhashable values: one "unique" per row
+                codes, uniques = np.where(col.isna(), -1, np.arange(len(col))), col
+            bits = [self.mask({attr: u}) for u in uniques.tolist()]
+            out |= np.array(bits + [0], dtype)[codes]
+        return out.tolist()
 
     def satisfies(self, g: Guard, mask: int) -> bool:
         gb = self._gbits.get(g)

@@ -30,7 +30,15 @@ Selection strategies: ``all`` (default, skip-till-any-match) and ``next``
 change the automaton branching (see ``determinize``); ``last`` and ``max``
 are enumeration-time filters over the ``all`` automaton (per-event batch:
 ``last`` keeps the latest-positions match per start, ``max`` keeps matches
-whose position set is not strictly contained in another's).
+whose position set is not strictly contained in another's). The filters need
+the whole batch, so under ``last``/``max`` every event enumerates all its
+matches before the ``limit`` cap is applied: capped output is then a subset
+of the uncapped output, but these two strategies lose output-linear delay.
+
+``step(mask, pos, now)`` is Algorithm 1 on what the engine reads of a tuple:
+its predicate mask, position and time. ``process(t)`` computes the mask of
+one tuple and calls ``step``; the Spark paths compute the masks of a whole
+batch column by column (``PredicateIndex.masks``) and call ``step``.
 """
 from __future__ import annotations
 
@@ -78,6 +86,7 @@ class CoreEngine:
         debug: bool = False,
     ):
         self.det = DetCEA(cea, strategy="next" if strategy == "next" else "all")
+        self.index = self.det.index
         self.strategy = strategy
         self.window = window
         self.consume = consume
@@ -108,22 +117,30 @@ class CoreEngine:
         """
         j = self._count if pos is None else pos
         self._count += 1
-        now = float(j) if ts is None else ts
+        return self.step(
+            self.index.mask(t), j, float(j) if ts is None else ts, enumerate_outputs
+        )
+
+    def step(
+        self, mask: int, pos: int, now: float, enumerate_outputs: bool = True
+    ) -> List[Match]:
+        """Algorithm 1 for a tuple with predicate mask ``mask`` (see
+        ``PredicateIndex.mask``) at stream position ``pos`` and time ``now``;
+        return the complex events ending there."""
         self.n_events += 1
 
         t0 = time.perf_counter() if self.timed else 0.0
 
-        m = self.det.index.mask(t)
         step = self.det.step
         T2: Dict[int, List[Node]] = {}
         # Lines 7-8: a new run may start at the current position.
-        q_mark, q_unmark = step(self.det.q0, m)
+        q_mark, q_unmark = step(self.det.q0, mask)
         if q_mark is not None or q_unmark is not None:
-            b = self.tecs.bottom(j, now)
-            self._exec_trans(q_mark, q_unmark, [b], b, j, T2)
+            b = self.tecs.bottom(pos, now)
+            self._exec_trans(q_mark, q_unmark, [b], b, pos, T2)
         # Lines 9-10: extend every active state, in insertion order.
         for p, ul in self.T.items():
-            q_mark, q_unmark = step(p, m)
+            q_mark, q_unmark = step(p, mask)
             if q_mark is None:
                 # merge(ul) is then needed only to insert into a union-list
                 # already in T2.
@@ -133,7 +150,7 @@ class CoreEngine:
                     T2[q_unmark] = list(ul)
                     continue
             n = ul[0] if len(ul) == 1 else self.tecs.merge(ul)
-            self._exec_trans(q_mark, q_unmark, ul, n, j, T2)
+            self._exec_trans(q_mark, q_unmark, ul, n, pos, T2)
         self.T = T2
 
         if self.timed:
@@ -144,20 +161,23 @@ class CoreEngine:
         matches: List[Match] = []
         if enumerate_outputs:
             is_final = self.det.is_final
+            # LAST/MAX filter the whole batch, so they cap after filtering.
+            filtered = self.strategy in ("last", "max")
+            limit = None if filtered else self.limit
             for p, ul in self.T.items():
                 if is_final(p):
                     n = ul[0] if len(ul) == 1 else self.tecs.merge(ul)
-                    enumerate_matches(n, j, now, self.window, self.limit, matches)
-                    if self.limit is not None and len(matches) >= self.limit:
+                    enumerate_matches(n, pos, now, self.window, limit, matches)
+                    if limit is not None and len(matches) >= limit:
                         break
-            if matches and self.strategy in ("last", "max"):
-                matches = _apply_strategy(self.strategy, matches)
+            if matches and filtered:
+                matches = _apply_strategy(self.strategy, matches)[: self.limit]
             self.n_outputs += len(matches)
         elif self.consume:
             # Even without enumeration, the consumption policy needs to know
             # whether a match exists (constant-time check on final states).
             matches = [
-                (j, j, ())
+                (pos, pos, ())
                 for p in self.T
                 if self.det.is_final(p)
                 and self.T[p][0].max_start >= (

@@ -17,27 +17,48 @@ oracle of :mod:`repro.spark.sql_oracle`.
 """
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, List, Optional
+from typing import Any, Iterable, List, Optional
 
+import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
 
 from ..cea.ceql import CompiledQuery
+from ..core.enumerate import Match
 from ..engines import make_engine
 
 MATCH_SCHEMA = "partition string, start long, end long, data string"
 
 
-def _clean(rec: Dict[str, Any]) -> Dict[str, Any]:
-    """pandas NaN/NaT → None so predicate NULL semantics hold."""
-    out = {}
-    for k, v in rec.items():
-        if v is None or (isinstance(v, float) and v != v):
-            out[k] = None
-        else:
-            out[k] = v
+def feed(engine: Any, frame: pd.DataFrame, query: CompiledQuery) -> List[Match]:
+    """Run ``engine`` (one partition's engine) over ``frame``'s rows in
+    order; return the complex events found.
+
+    The Spark paths' one way of feeding rows: the predicate masks of the
+    whole frame are computed column by column (``PredicateIndex.masks``), and
+    ``pos`` and the time column are read as arrays; a NULL time falls back
+    to ``pos``, as in ``CompiledQuery.ts_of``. Each row is then one
+    ``engine.step``.
+    """
+    pos = frame["pos"].to_numpy(np.int64)
+    now = pos.astype(float)
+    if query.time_attr is not None and query.time_attr in frame.columns:
+        times = frame[query.time_attr].astype(float).to_numpy()
+        now = np.where(np.isnan(times), now, times)
+    step = engine.step
+    out: List[Match] = []
+    for m, j, t in zip(engine.index.masks(frame), pos.tolist(), now.tolist()):
+        out += step(m, j, t)
     return out
+
+
+def match_frame(pkey: str, matches: Iterable[Match]) -> pd.DataFrame:
+    """Matches as rows of :data:`MATCH_SCHEMA`, positions comma-joined."""
+    return pd.DataFrame(
+        [(pkey, s, e, ",".join(map(str, data))) for s, e, data in matches],
+        columns=["partition", "start", "end", "data"],
+    )
 
 
 def run_group(
@@ -47,8 +68,9 @@ def run_group(
     limit: Optional[int],
     partition_cols: Iterable[str],
 ) -> pd.DataFrame:
-    """Run one engine over one (sorted) partition's events — the per-group
-    body of ``applyInPandas``, also reused by tests for driver-side runs."""
+    """Run one engine over one partition's events (sorted here by ``pos``) —
+    the per-group body of ``applyInPandas``, also reused by tests for
+    driver-side runs."""
     pdf = pdf.sort_values("pos")
     pcols = list(partition_cols)
     pkey = ",".join(str(pdf.iloc[0][c]) for c in pcols) if pcols else ""
@@ -60,14 +82,7 @@ def run_group(
         limit=limit,
         strategy=query.strategy,
     )
-    rows: List[tuple] = []
-    for rec in pdf.to_dict("records"):
-        rec = _clean(rec)
-        pos = int(rec.pop("pos"))
-        ts = query.ts_of(rec, pos)
-        for (s, e, data) in eng.process(rec, ts=ts, pos=pos):
-            rows.append((pkey, s, e, ",".join(map(str, data))))
-    return pd.DataFrame(rows, columns=["partition", "start", "end", "data"])
+    return match_frame(pkey, feed(eng, pdf, query))
 
 
 def run_batch(

@@ -27,7 +27,7 @@ from pyspark.sql.streaming.state import GroupState, GroupStateTimeout
 
 from ..cea.ceql import CompiledQuery
 from ..engines import make_engine
-from .batch import MATCH_SCHEMA, _clean
+from .batch import MATCH_SCHEMA, feed, match_frame
 
 STATE_SCHEMA = "blob binary"
 
@@ -55,17 +55,11 @@ def make_stateful_func(query: CompiledQuery, engine: str = "core", limit=None):
                 strategy=query.strategy,
             )
         pkey = ",".join(str(k) for k in key) if query.partition_by else ""
-        rows = []
+        matches = []
         for pdf in pdfs:
-            pdf = pdf.sort_values("pos")
-            for rec in pdf.to_dict("records"):
-                rec = _clean(rec)
-                pos = int(rec.pop("pos"))
-                ts = query.ts_of(rec, pos)
-                for (s, e, data) in eng.process(rec, ts=ts, pos=pos):
-                    rows.append((pkey, s, e, ",".join(map(str, data))))
+            matches += feed(eng, pdf.sort_values("pos"), query)
         state.update((pickle.dumps(eng),))
-        yield pd.DataFrame(rows, columns=["partition", "start", "end", "data"])
+        yield match_frame(pkey, matches)
 
     return fn
 

@@ -1,5 +1,7 @@
 """Behavioural tests for CORE's Algorithm-1 engine."""
+import hypothesis.strategies as st
 import pytest
+from hypothesis import example, given, settings
 
 from helpers import stream_of
 from repro.cea import brute, cel
@@ -151,6 +153,39 @@ def test_last_strategy_one_match_per_start():
     eng = CoreEngine(cea, strategy="last")
     batches = _feed(eng, stream)
     assert set(batches[3]) == {(0, 3, (0, 2, 3))}  # latest B
+
+
+CAP_FORMULAS = [
+    cel.seq(A, cel.Plus(B), C),
+    cel.seq(cel.Plus(A), B),
+    cel.seq(cel.Plus(cel.Or(A, B)), C),
+    cel.seq(A, B, C),
+]
+
+
+@pytest.mark.parametrize("strategy", ["all", "next", "last", "max"])
+@settings(max_examples=100, deadline=None)
+@given(
+    phi=st.sampled_from(CAP_FORMULAS),
+    types=st.lists(st.sampled_from("ABCX"), max_size=9),
+    limit=st.integers(1, 3),
+    window=st.sampled_from([None, 3]),
+    consume=st.booleans(),
+)
+# At capped enumeration, LAST emitted (0,3,(0,1,2,3)) here instead of
+# (0,3,(0,2,3)), and MAX emitted (1,2,(1,2)) instead of (0,2,(0,1,2)).
+@example(phi=CAP_FORMULAS[0], types=list("ABBC"), limit=1, window=None, consume=False)
+@example(phi=CAP_FORMULAS[1], types=list("AAB"), limit=1, window=None, consume=False)
+def test_capped_output_is_subset_of_uncapped(strategy, phi, types, limit, window, consume):
+    """The ``limit`` cap only drops outputs: per event, the capped batch is
+    part of the uncapped one and has min(limit, |uncapped|) entries."""
+    cea = compile_cel(phi)
+    capped = CoreEngine(cea, window, consume=consume, limit=limit, strategy=strategy)
+    full = CoreEngine(cea, window, consume=consume, strategy=strategy)
+    for i, t in enumerate(stream_of(*types)):
+        got, want = capped.process(t, pos=i), full.process(t, pos=i)
+        assert set(got) <= set(want)
+        assert len(set(got)) == len(got) == min(limit, len(want))
 
 
 def test_brute_force_agreement_sanity():

@@ -2,6 +2,7 @@
 import itertools
 
 import hypothesis.strategies as st
+import pandas as pd
 import pytest
 from hypothesis import given, settings
 
@@ -117,3 +118,77 @@ def test_mask_equality_table_edge_cases():
     assert idx.mask({"x": NAN}) == 0  # NaN == NaN is false
     assert idx.mask({"x": [1]}) == 0  # unhashable: compared atom by atom
     assert idx.mask({"x": None}) == idx.mask({}) == 0
+
+
+# Column-wise masks: one column per dtype the Spark paths can hand over.
+# Constants add integers too large for float64 and a timestamp.
+frame_constants = (
+    constants
+    | st.integers(-(2**62), 2**62)
+    | st.just(2**53 + 1)
+    | st.just(pd.Timestamp("2020-01-02"))
+)
+frame_atoms = st.builds(
+    Atom, st.sampled_from(("a", "b", "missing")), st.sampled_from(OPS), frame_constants
+)
+COLUMN_KINDS = {
+    "int64": (st.integers(-3, 3) | st.integers(-(2**62), 2**62), "int64"),
+    "float64": (st.floats(allow_nan=True) | st.none() | st.integers(-3, 3), "float64"),
+    "bool": (st.booleans(), "bool"),
+    "object": (values, object),
+    "datetime": (st.sampled_from([None, "2020-01-01", "2020-01-02", "2020-01-03"]), "datetime64[ns]"),
+}
+
+
+@st.composite
+def frames(draw):
+    n = draw(st.integers(0, 8))
+    cols = {}
+    for name in ("a", "b"):
+        vals, dtype = COLUMN_KINDS[draw(st.sampled_from(sorted(COLUMN_KINDS)))]
+        cols[name] = pd.Series(draw(st.lists(vals, min_size=n, max_size=n)), dtype=dtype)
+    return pd.DataFrame(cols)
+
+
+def _null(v):
+    return v is None or v is pd.NaT or (isinstance(v, float) and v != v)
+
+
+@settings(max_examples=300, deadline=None)
+@given(frame=frames(), atoms_=st.lists(frame_atoms, min_size=1, max_size=8))
+def test_masks_agree_with_mask_per_row(frame, atoms_):
+    """Row i's column-wise mask is ``mask`` of row i with None/NaN/NaT as
+    NULL (the Spark paths' former per-row conversion)."""
+    idx = PredicateIndex(atoms_)
+    rows = [{k: None if _null(v) else v for k, v in r.items()} for r in frame.to_dict("records")]
+    got = idx.masks(frame)
+    assert got == [idx.mask(r) for r in rows]
+    assert all(type(m) is int for m in got)
+
+
+def test_masks_edge_cases():
+    nan = float("nan")
+    frame = pd.DataFrame({
+        "f": [1.0, nan, 2.5],
+        "o": pd.Series(["x", 1, [1]], dtype=object),  # a list is unhashable
+        "t": pd.to_datetime(["2020-01-01", None, "2020-01-03"]),
+        "g": [2.0**53, 1.0, nan],
+        "i": [2**53 + 1, 0, -5],
+    })
+    idx = PredicateIndex([
+        Atom("f", "!=", 1), Atom("o", "==", True), Atom("o", "<", 5),
+        Atom("t", "!=", 0), Atom("f", "==", nan), Atom("gone", "!=", 1),
+        Atom("g", "==", 2**53 + 1), Atom("i", ">", 2.0**53),
+    ])
+    # NULL (NaN, NaT) sets no bit even for !=; True == 1; "x" < 5 is
+    # incomparable; a NaN constant equals nothing; ints and floats compare
+    # exactly, as in Python (float64 would round 2**53 + 1 to 2**53).
+    assert idx.masks(frame) == [0b10001000, 0b00000110, 0b00001001]
+
+
+def test_masks_past_62_atoms_are_python_ints():
+    idx = PredicateIndex([Atom("v", "==", k) for k in range(70)] + [Atom("v", ">", 66)])
+    frame = pd.DataFrame({"v": [0, 69, 66, -1]})
+    got = idx.masks(frame)
+    assert got == [idx.mask({"v": v}) for v in (0, 69, 66, -1)]
+    assert got[1] == 1 << 69 | 1 << 70

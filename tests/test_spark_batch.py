@@ -9,9 +9,9 @@ import pandas as pd
 import pytest
 
 from repro.cea.ceql import compile_query
-from repro.engines import make_engine, make_partitioned
+from repro.engines import SYSTEMS, make_engine, make_partitioned
 from repro.oracle import assert_equivalent
-from repro.spark.batch import run_batch, run_group
+from repro.spark.batch import feed, run_batch, run_group
 from repro.spark.sql_oracle import sequence_match_sql
 from repro.streams.generators import stock_stream, to_pandas, typed_stream
 
@@ -28,6 +28,15 @@ def test_sequence_query_matches_duckdb_oracle(spark, seq_events):
     got = run_batch(spark, seq_events, cq)
     sql = sequence_match_sql([["A"], ["B"], ["C"]], window=20)
     assert_equivalent(got, sql, events=seq_events)
+
+
+def test_oracle_detects_wrong_result(spark, seq_events):
+    """The DuckDB oracle fails a result that differs from its SQL's."""
+    cq = compile_query("SELECT * FROM S WHERE A; B; C WITHIN 20 events")
+    got = run_batch(spark, seq_events, cq)
+    sql = sequence_match_sql([["A"], ["B"], ["C"]], window=19)
+    with pytest.raises(AssertionError):
+        assert_equivalent(got, sql, events=seq_events)
 
 
 def test_sequence_query_no_window_oracle(spark):
@@ -154,3 +163,27 @@ def test_consume_query_on_spark(spark):
         batch = got[got["end"] == e]
         assert (batch["start"] > prev_batch_end).all()
         prev_batch_end = e
+
+
+@pytest.mark.parametrize("engine", SYSTEMS)
+def test_feed_equals_per_row_process(engine):
+    """``feed`` (column-wise masks, array positions and times) gives what a
+    per-row ``process`` loop gives, with NULL prices and NULL times (a NULL
+    time falls back to the position)."""
+    events = stock_stream(500, seed=4)
+    for k, e in enumerate(events):
+        if k % 7 == 0:
+            e["price"] = None
+        if k % 11 == 0:
+            e["stock_time"] = None
+    cq = compile_query(
+        "SELECT * FROM S WHERE SELL as a; BUY as b FILTER a[price > 25.0] "
+        "AND b[price != 20.0] AND b[name = 'MSFT'] WITHIN 3000 [stock_time]"
+    )
+    ref = make_engine(engine, cq.cea, window=cq.window)
+    want = []
+    for pos, t in enumerate(events):
+        want += ref.process(t, ts=cq.ts_of(t, pos), pos=pos)
+    got = feed(make_engine(engine, cq.cea, window=cq.window), to_pandas(events), cq)
+    assert len(want) > 20
+    assert got == want
