@@ -189,9 +189,11 @@ def build() -> str:
             "Python dispatch and starts below CORE; (2) our Esper-style "
             "baseline degrades less steeply than the paper's Esper (its "
             "state-grouped batch extension compresses Python constants); "
-            "(3) enumeration-throughput for the baselines is mostly inside "
-            "measurement noise (their 'enumeration' is inline "
-            "materialization), so it is reported as n/a.",
+            "(3) update and enumeration throughput are n/a for the "
+            "baselines: they materialize each match inline while extending "
+            "its partial match, so they have no update phase separate from "
+            "enumeration to time; CORE's split comes from its exact `timed` "
+            "instrumentation.",
             "",
         ]
     else:

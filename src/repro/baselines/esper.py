@@ -13,7 +13,8 @@ from __future__ import annotations
 
 from typing import Dict, List
 
-from .nfa_base import BaselineBase, Match
+from ..core.enumerate import Match
+from .nfa_base import BaselineBase
 
 
 class EsperEngine(BaselineBase):
@@ -22,9 +23,7 @@ class EsperEngine(BaselineBase):
         # state -> list of (start_pos, start_ts, positions-tuple)
         self.buffers: Dict[int, List[tuple]] = {}
 
-    def step(
-        self, mask: int, pos: int, now: float, enumerate_outputs: bool = True
-    ) -> List[Match]:
+    def step(self, mask: int, pos: int, now: float) -> List[Match]:
         self.n_events += 1
         tau = -float("inf") if self.window is None else now - self.window
 
@@ -76,7 +75,7 @@ class EsperEngine(BaselineBase):
             self.buffers = {}
         else:
             self.buffers = new_buffers
-        return matches if enumerate_outputs else matches[:1]
+        return matches
 
     def reset(self) -> None:
         self.buffers = {}

@@ -7,7 +7,7 @@ entries. Crucially, the NFA state (computation states + shared buffer) is
 kept in Flink's keyed state backend, which (de)serializes it on access.
 
 We model both aspects: partial matches are shared cons chains (the shared
-buffer), and every ``process`` call round-trips the full run state through
+buffer), and every ``step`` call round-trips the full run state through
 ``pickle`` — the per-event state-backend serialization that makes FlinkCEP
 the slowest system in the paper's experiments (up to 500x slower than CORE
 at n=9). Match extraction walks the predecessor chains, as Flink's
@@ -18,7 +18,8 @@ from __future__ import annotations
 import pickle
 from typing import List
 
-from .nfa_base import BaselineBase, Match
+from ..core.enumerate import Match
+from .nfa_base import BaselineBase
 
 
 def _materialize(cons) -> tuple:
@@ -37,9 +38,7 @@ class FlinkCepEngine(BaselineBase):
         # (state, start_pos, start_ts, cons-of-positions).
         self._state_blob: bytes = pickle.dumps([])
 
-    def step(
-        self, mask: int, pos: int, now: float, enumerate_outputs: bool = True
-    ) -> List[Match]:
+    def step(self, mask: int, pos: int, now: float) -> List[Match]:
         self.n_events += 1
         tau = -float("inf") if self.window is None else now - self.window
 
@@ -73,7 +72,7 @@ class FlinkCepEngine(BaselineBase):
             new_runs = []
         # State-backend write (serialization).
         self._state_blob = pickle.dumps(new_runs)
-        return matches if enumerate_outputs else matches[:1]
+        return matches
 
     def reset(self) -> None:
         self._state_blob = pickle.dumps([])

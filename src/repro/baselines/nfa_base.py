@@ -11,23 +11,28 @@ window size T while CORE does not.
 
 Common behaviours (paper Section 6 setup):
 
+* the per-tuple contract is CORE's: ``step(mask, pos, now)`` reads only the
+  tuple's predicate mask, position and time, and ``process`` (shared with
+  CORE through ``EngineBase``) computes the mask and calls it;
 * window pruning: runs whose start time fell out of the WITHIN window die;
 * consumption policy: when a match is found, all runs are discarded;
-* enumeration cap: at most ``limit`` matches reported per input event;
+* enumeration cap: at most ``limit`` matches reported per input event. The
+  baselines materialize each match while extending its run, so they have no
+  enumeration phase separate from the update (Table 1 reports n/a for it);
 * ``selection='next'`` (skip-till-next-match, the baselines' default
   strategy in the strategies experiment): a run that can take a marking
-  transition does not also fork on non-marking ones.
+  transition does not also fork on non-marking ones. ``all`` and ``next``
+  are the only strategies they support; any other raises ``ValueError``.
 """
 from __future__ import annotations
 
-from typing import Any, List, Mapping, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from ..cea.automaton import CEA
+from ..core.base import EngineBase
 
-Match = Tuple[int, int, Tuple[int, ...]]
 
-
-class BaselineBase:
+class BaselineBase(EngineBase):
     """State-independent plumbing shared by the three baselines."""
 
     def __init__(
@@ -47,42 +52,13 @@ class BaselineBase:
         resets; correctness tests always run uncapped."""
         if selection not in ("all", "next"):
             raise ValueError(f"baseline selection must be all/next, got {selection!r}")
+        super().__init__(cea.index, window, consume, limit)
         self.cea = cea
-        self.index = cea.index
         self.adj = cea.adj
         self.finals = cea.finals
         self.q0 = cea.q0
-        self.window = window
-        self.consume = consume
-        self.limit = limit
         self.selection = selection
         self.max_runs = max_runs
-        self._count = 0
-        self.n_events = 0
-        self.n_outputs = 0
-
-    def process(
-        self,
-        t: Mapping[str, Any],
-        ts: Optional[float] = None,
-        pos: Optional[int] = None,
-        enumerate_outputs: bool = True,
-    ) -> List[Match]:
-        """Feed one tuple (see ``CoreEngine.process``): compute its predicate
-        mask and call ``step``."""
-        j = self._count if pos is None else pos
-        self._count += 1
-        return self.step(
-            self.index.mask(t), j, float(j) if ts is None else ts, enumerate_outputs
-        )
-
-    def step(
-        self, mask: int, pos: int, now: float, enumerate_outputs: bool = True
-    ) -> List[Match]:  # overridden
-        """Advance every partial match on a tuple with predicate mask
-        ``mask`` at stream position ``pos`` and time ``now``; return the
-        complex events ending there."""
-        raise NotImplementedError
 
     def _transitions(self, state: int, mask: int) -> List[Tuple[bool, int]]:
         """Applicable ``(mark, dst)`` pairs for a state on a tuple with
@@ -93,9 +69,6 @@ class BaselineBase:
         if self.selection == "next" and any(m for m, _ in out):
             out = [(m, d) for (m, d) in out if m]
         return out
-
-    def reset(self) -> None:  # overridden
-        raise NotImplementedError
 
     @property
     def n_partial_matches(self) -> int:  # overridden: memory proxy

@@ -16,7 +16,8 @@ from __future__ import annotations
 from typing import List
 
 from ..cea import cel
-from .nfa_base import BaselineBase, Match
+from ..core.enumerate import Match
+from .nfa_base import BaselineBase
 
 
 def supports(phi: cel.CEL) -> bool:
@@ -30,9 +31,7 @@ class SaseEngine(BaselineBase):
         # runs: (state, start_pos, start_ts, positions-tuple)
         self.runs: List[tuple] = []
 
-    def step(
-        self, mask: int, pos: int, now: float, enumerate_outputs: bool = True
-    ) -> List[Match]:
+    def step(self, mask: int, pos: int, now: float) -> List[Match]:
         self.n_events += 1
         tau = -float("inf") if self.window is None else now - self.window
 
@@ -59,14 +58,12 @@ class SaseEngine(BaselineBase):
                 continue  # window pruning
             fire(state, start_pos, start_ts, positions)
 
-        if matches and not enumerate_outputs:
-            matches = matches[:1]
         self.n_outputs += len(matches)
         if matches and self.consume:
             self.runs = []
         else:
             self.runs = new_runs
-        return matches if enumerate_outputs else matches[:1]
+        return matches
 
     def reset(self) -> None:
         self.runs = []

@@ -140,10 +140,14 @@ class CompiledQuery:
     strategy: str
 
     def ts_of(self, event: Mapping[str, Any], pos: int) -> float:
+        """The event's ``time_attr`` value; ``pos`` when the query has no
+        time attribute or the value is NULL (None or NaN), as in
+        ``spark.batch.feed``."""
         if self.time_attr is None:
             return float(pos)
         v = event.get(self.time_attr)
-        return float(pos) if v is None else float(v)
+        t = float("nan") if v is None else float(v)
+        return float(pos) if t != t else t
 
 
 class _Parser:

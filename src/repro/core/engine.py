@@ -36,40 +36,35 @@ matches before the ``limit`` cap is applied: capped output is then a subset
 of the uncapped output, but these two strategies lose output-linear delay.
 
 ``step(mask, pos, now)`` is Algorithm 1 on what the engine reads of a tuple:
-its predicate mask, position and time. ``process(t)`` computes the mask of
-one tuple and calls ``step``; the Spark paths compute the masks of a whole
-batch column by column (``PredicateIndex.masks``) and call ``step``.
+its predicate mask, position and time; it is the engine's whole per-tuple
+contract, and it always enumerates. ``process(t)`` (``EngineBase``, shared
+with the baselines) computes the mask of one tuple and calls ``step``; the
+Spark paths compute the masks of a whole batch column by column
+(``PredicateIndex.masks``) and call ``step``.
 """
 from __future__ import annotations
 
 import time
-from typing import Any, Dict, List, Mapping, Optional
+from typing import Dict, List, Optional
 
 from ..cea.automaton import CEA
 from ..cea.determinize import DetCEA
+from .base import EngineBase
 from .enumerate import Match, enumerate_matches
 from .tecs import Node, TECS
 
 
-class CoreEngine:
+class CoreEngine(EngineBase):
     """Single-partition CORE engine (the paper's Algorithm 1).
 
     Parameters
     ----------
     cea:
         compiled (non-deterministic) CEA; determinized on the fly.
-    window:
-        the WITHIN bound ε (same units as the ``ts`` passed to ``process``),
-        or None for no window.
-    consume:
-        the experiments' consumption policy — forget all partial matches when
-        a complex event is found (the only policy Esper and SASE both
-        support, hence used for all systems in Section 6).
-    limit:
-        cap on enumerated results per input event (the paper logs only the
-        first 10).
+    window, consume, limit:
+        see ``EngineBase``.
     strategy:
-        'all' | 'next' | 'last' | 'max'.
+        'all' | 'next' | 'last' | 'max'; anything else raises ``ValueError``.
     timed:
         collect the update-vs-enumeration split used by Figure 7.
     """
@@ -85,45 +80,18 @@ class CoreEngine:
         timed: bool = False,
         debug: bool = False,
     ):
-        self.det = DetCEA(cea, strategy="next" if strategy == "next" else "all")
-        self.index = self.det.index
+        self.det = DetCEA(cea, strategy)
+        super().__init__(self.det.index, window, consume, limit)
         self.strategy = strategy
-        self.window = window
-        self.consume = consume
-        self.limit = limit
         self.timed = timed
         self.tecs = TECS(debug=debug)
         # ordered-keys(T): Python dicts preserve insertion order.
         self.T: Dict[int, List[Node]] = {}
-        self._count = 0
-        self.n_events = 0
-        self.n_outputs = 0
         self.update_time = 0.0
         self.enum_time = 0.0
 
     # ------------------------------------------------------------------
-    def process(
-        self,
-        t: Mapping[str, Any],
-        ts: Optional[float] = None,
-        pos: Optional[int] = None,
-        enumerate_outputs: bool = True,
-    ) -> List[Match]:
-        """Feed one tuple; return the complex events ending at this tuple.
-
-        ``pos`` is the tuple's global stream position (defaults to an
-        internal counter); ``ts`` its time (defaults to ``pos`` — count-based
-        windows, as in the synthetic experiments).
-        """
-        j = self._count if pos is None else pos
-        self._count += 1
-        return self.step(
-            self.index.mask(t), j, float(j) if ts is None else ts, enumerate_outputs
-        )
-
-    def step(
-        self, mask: int, pos: int, now: float, enumerate_outputs: bool = True
-    ) -> List[Match]:
+    def step(self, mask: int, pos: int, now: float) -> List[Match]:
         """Algorithm 1 for a tuple with predicate mask ``mask`` (see
         ``PredicateIndex.mask``) at stream position ``pos`` and time ``now``;
         return the complex events ending there."""
@@ -159,31 +127,19 @@ class CoreEngine:
 
         # OUTPUT (lines 29-33).
         matches: List[Match] = []
-        if enumerate_outputs:
-            is_final = self.det.is_final
-            # LAST/MAX filter the whole batch, so they cap after filtering.
-            filtered = self.strategy in ("last", "max")
-            limit = None if filtered else self.limit
-            for p, ul in self.T.items():
-                if is_final(p):
-                    n = ul[0] if len(ul) == 1 else self.tecs.merge(ul)
-                    enumerate_matches(n, pos, now, self.window, limit, matches)
-                    if limit is not None and len(matches) >= limit:
-                        break
-            if matches and filtered:
-                matches = _apply_strategy(self.strategy, matches)[: self.limit]
-            self.n_outputs += len(matches)
-        elif self.consume:
-            # Even without enumeration, the consumption policy needs to know
-            # whether a match exists (constant-time check on final states).
-            matches = [
-                (pos, pos, ())
-                for p in self.T
-                if self.det.is_final(p)
-                and self.T[p][0].max_start >= (
-                    -float("inf") if self.window is None else now - self.window
-                )
-            ][:1]
+        is_final = self.det.is_final
+        # LAST/MAX filter the whole batch, so they cap after filtering.
+        filtered = self.strategy in ("last", "max")
+        limit = None if filtered else self.limit
+        for p, ul in self.T.items():
+            if is_final(p):
+                n = ul[0] if len(ul) == 1 else self.tecs.merge(ul)
+                enumerate_matches(n, pos, now, self.window, limit, matches)
+                if limit is not None and len(matches) >= limit:
+                    break
+        if matches and filtered:
+            matches = _apply_strategy(self.strategy, matches)[: self.limit]
+        self.n_outputs += len(matches)
 
         if self.timed:
             self.enum_time += time.perf_counter() - t1

@@ -47,7 +47,6 @@ class PartitionedEngine:
         t: Mapping[str, Any],
         ts: Optional[float] = None,
         pos: Optional[int] = None,
-        enumerate_outputs: bool = True,
     ) -> List[Match]:
         j = self._count if pos is None else pos
         self._count += 1
@@ -58,7 +57,7 @@ class PartitionedEngine:
         eng = self.engines.get(key)
         if eng is None:
             eng = self.engines[key] = self.factory()
-        out = eng.process(t, ts=ts, pos=j, enumerate_outputs=enumerate_outputs)
+        out = eng.process(t, ts, j)
         self.n_outputs += len(out)
         return out
 

@@ -27,19 +27,16 @@ def make_engine(
 ) -> Any:
     """Build one single-partition engine by system name.
 
-    ``strategy`` maps to the engines' native knobs: CORE supports
-    all/next/last/max; the baselines support all (skip-till-any) and next
-    (skip-till-next, their default selection strategy in the strategies
-    experiment).
+    ``strategy`` is passed through unchanged: CORE supports all/next/last/max;
+    the baselines support all (skip-till-any) and next (skip-till-next, their
+    default selection strategy in the strategies experiment). An unsupported
+    strategy raises ``ValueError``.
     """
     if name == "core":
         return CoreEngine(
             cea, window, consume=consume, limit=limit, strategy=strategy, timed=timed
         )
-    baseline_sel = "next" if strategy != "all" else "all"
-    kw = dict(
-        consume=consume, limit=limit, selection=baseline_sel, max_runs=max_runs
-    )
+    kw = dict(consume=consume, limit=limit, selection=strategy, max_runs=max_runs)
     if name == "sase":
         return SaseEngine(cea, window, **kw)
     if name == "esper":

@@ -40,7 +40,6 @@ def _cell(
     consume: bool,
     budget_s: Optional[float],
     strategy: str = "all",
-    enumerate_outputs: bool = True,
     ts_of=None,
 ) -> RunStats:
     eng = make_engine(
@@ -52,13 +51,7 @@ def _cell(
         strategy=strategy,
         max_runs=MAX_RUNS,
     )
-    return throughput_run(
-        eng,
-        events,
-        budget_s=budget_s,
-        ts_of=ts_of,
-        enumerate_outputs=enumerate_outputs,
-    )
+    return throughput_run(eng, events, budget_s=budget_s, ts_of=ts_of)
 
 
 # ----------------------------------------------------------------------
@@ -75,7 +68,9 @@ def table1_sequence(
     seed: int = 0,
 ) -> List[Dict[str, Any]]:
     """Throughput / update-throughput / enumeration-throughput / memory for
-    A1;..;An, n in ``ns``, count window 100, noisy uniform stream."""
+    A1;..;An, n in ``ns``, count window 100, noisy uniform stream. The
+    update/enumeration split is CORE's ``timed`` one; it is NaN for the
+    baselines."""
     rows = []
     for n in ns:
         cea = compile_cel(_seq_formula(n))
@@ -88,32 +83,20 @@ def table1_sequence(
                     limit=OUTPUT_LIMIT, timed=True,
                 )
                 full = throughput_run(eng, events, budget_s=budget_s)
-                upd = RunStats(full.events, eng.update_time, 0)
+                update_eps = RunStats(full.events, eng.update_time, 0).throughput
                 enum_tp = (
                     full.outputs / eng.enum_time
                     if eng.enum_time > 0 and full.outputs
                     else float("nan")
                 )
             else:
+                # A baseline materializes each match while it extends the
+                # run, so it has no update or enumeration phase to time.
                 full = _cell(
                     system, cea, events,
                     window=window, consume=True, budget_s=budget_s,
                 )
-                upd = _cell(
-                    system, cea, events,
-                    window=window, consume=True, budget_s=budget_s,
-                    enumerate_outputs=False,
-                )
-                # Enumeration cost = total per-event − update per-event; NaN
-                # when the difference is inside measurement noise.
-                per_total = full.elapsed / max(full.events, 1)
-                per_upd = upd.elapsed / max(upd.events, 1)
-                enum_per_event = per_total - per_upd
-                enum_tp = (
-                    full.outputs / (enum_per_event * full.events)
-                    if full.outputs and enum_per_event > 0.02 * per_total
-                    else float("nan")
-                )
+                update_eps = enum_tp = float("nan")
             mem = memory_run(
                 lambda: make_engine(
                     system, cea, window=window, consume=True,
@@ -128,7 +111,7 @@ def table1_sequence(
                 {
                     "table": "T1", "query": f"seq n={n}", "system": system,
                     "throughput_eps": full.throughput,
-                    "update_eps": upd.throughput,
+                    "update_eps": update_eps,
                     "enum_ops": enum_tp,
                     "outputs": full.outputs,
                     "memory_bytes": mem,

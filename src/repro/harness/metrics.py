@@ -41,7 +41,6 @@ def throughput_run(
     *,
     budget_s: Optional[float] = None,
     ts_of: Optional[Callable[[Mapping[str, Any], int], float]] = None,
-    enumerate_outputs: bool = True,
 ) -> RunStats:
     """Feed ``events`` until the time budget is exhausted (or the stream
     ends); return events processed, elapsed seconds, and outputs produced.
@@ -56,9 +55,7 @@ def throughput_run(
     deadline = t0 + budget
     for pos, t in enumerate(events):
         ts = None if ts_of is None else ts_of(t, pos)
-        outputs += len(
-            engine.process(t, ts=ts, pos=pos, enumerate_outputs=enumerate_outputs)
-        )
+        outputs += len(engine.process(t, ts=ts, pos=pos))
         n += 1
         if time.perf_counter() >= deadline:
             break

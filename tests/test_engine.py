@@ -7,6 +7,7 @@ from helpers import stream_of
 from repro.cea import brute, cel
 from repro.cea.automaton import compile_cel
 from repro.core.engine import CoreEngine
+from repro.engines import make_engine
 
 A, B, C = (cel.EventType(x) for x in "ABC")
 SEQ3 = compile_cel(cel.seq(A, B, C))
@@ -37,19 +38,12 @@ def test_limit_caps_per_event_enumeration():
 
 def test_consume_resets_state():
     eng = CoreEngine(compile_cel(cel.Seq(A, B)), consume=True)
-    batches = _feed(eng, stream_of("A", "B", "B"))
-    # second B would match the first A under skip-till-any, but the match at
-    # position 1 consumed it.
+    batches = _feed(eng, stream_of("A", "B"))
     assert set(batches[1]) == {(0, 1, (0, 1))}
-    assert batches[2] == []
-
-
-def test_update_only_mode_skips_enumeration_but_detects_for_consume():
-    eng = CoreEngine(compile_cel(cel.Seq(A, B)), consume=True)
-    b0 = eng.process({"type": "A"}, enumerate_outputs=False)
-    b1 = eng.process({"type": "B"}, enumerate_outputs=False)
-    assert b0 == [] and len(b1) == 1  # sentinel match, no enumeration
     assert eng.n_active_states == 0  # consumed
+    # A second B would match the first A under skip-till-any, but the match
+    # at position 1 consumed it.
+    assert eng.process({"type": "B"}, pos=2) == []
 
 
 def test_window_excludes_old_starts():
@@ -124,6 +118,18 @@ def test_strategies_subset_of_all(strategy):
     eng = CoreEngine(cea, strategy=strategy)
     out = set().union(*(_feed(eng, stream) or [set()])[-1:])
     assert out <= all_out or strategy == "all"
+
+
+@pytest.mark.parametrize(
+    "system, strategy",
+    [("core", "bogus")]
+    + [(s, x) for s in ("sase", "esper", "flink") for x in ("last", "max", "bogus")],
+)
+def test_unsupported_strategy_raises(system, strategy):
+    """No engine silently answers a different strategy: the baselines
+    support only all/next, CORE all/next/last/max."""
+    with pytest.raises(ValueError):
+        make_engine(system, SEQ3, strategy=strategy)
 
 
 def test_next_strategy_single_match_per_start():

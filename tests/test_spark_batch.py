@@ -165,17 +165,21 @@ def test_consume_query_on_spark(spark):
         prev_batch_end = e
 
 
-@pytest.mark.parametrize("engine", SYSTEMS)
-def test_feed_equals_per_row_process(engine):
+@pytest.mark.parametrize(
+    "engine, null_time",
+    [pytest.param(e, None, id=e) for e in SYSTEMS]
+    + [pytest.param(e, float("nan"), id=f"{e}-nan") for e in SYSTEMS],
+)
+def test_feed_equals_per_row_process(engine, null_time):
     """``feed`` (column-wise masks, array positions and times) gives what a
     per-row ``process`` loop gives, with NULL prices and NULL times (a NULL
-    time falls back to the position)."""
+    time, None or NaN, falls back to the position)."""
     events = stock_stream(500, seed=4)
     for k, e in enumerate(events):
         if k % 7 == 0:
             e["price"] = None
         if k % 11 == 0:
-            e["stock_time"] = None
+            e["stock_time"] = null_time
     cq = compile_query(
         "SELECT * FROM S WHERE SELL as a; BUY as b FILTER a[price > 25.0] "
         "AND b[price != 20.0] AND b[name = 'MSFT'] WITHIN 3000 [stock_time]"

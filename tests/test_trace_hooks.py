@@ -1,7 +1,9 @@
 """The benchmark's traced run (``perfbench/run.py --trace 1``) patches the
 engine's entry points by name. This runs its tracer against Q1 and Q6 in a
 fresh interpreter, so that a rename in ``src/`` that leaves a hook counting
-nothing fails here rather than in a silent benchmark report."""
+nothing fails here rather than in a silent benchmark report. It also feeds
+an uncapped Esper-style engine positionally, ``process(e, ts, i)``, next to
+the capped CORE engine, as the benchmark's ``check_prefix`` does."""
 import json
 import os
 import subprocess
@@ -23,6 +25,7 @@ from repro.harness.stock_queries import Q1, Q6
 from repro.streams.generators import stock_stream
 
 events = stock_stream(2000, seed=1)
+prefix_ok, ref_matches = True, 0
 for text in (Q1, Q6):
     cq = compile_query(text)
     kw = dict(window=cq.window, consume=cq.consume, limit=10)
@@ -30,9 +33,15 @@ for text in (Q1, Q6):
         eng = make_partitioned("core", cq.cea, cq.partition_by, **kw)
     else:
         eng = make_engine("core", cq.cea, **kw)
+        ref = make_engine("esper", cq.cea, window=cq.window, consume=cq.consume)
     for i, e in enumerate(events):
-        eng.process(e, cq.ts_of(e, i), i)
-print(json.dumps(tracer.metrics()))
+        ts = cq.ts_of(e, i)
+        out = eng.process(e, ts, i)
+        if not cq.partition_by:
+            want = ref.process(e, ts, i)
+            ref_matches += len(want)
+            prefix_ok &= set(out) <= set(want) and len(out) == min(10, len(want))
+print(json.dumps({**tracer.metrics(), "prefix_ok": prefix_ok, "ref_matches": ref_matches}))
 """
 
 
@@ -47,4 +56,5 @@ def test_tracer_hooks_count_engine_work():
     metrics = json.loads(proc.stdout.strip().splitlines()[-1])
     for key in ("det.step_calls", "engine.process_calls", "tecs.extend_calls"):
         assert metrics[key] > 0, key
-    assert metrics["engine.process_calls"] == 2 * 2000
+    assert metrics["engine.process_calls"] == 2 * 2000  # CORE's only
+    assert metrics["prefix_ok"] and metrics["ref_matches"] > 0
