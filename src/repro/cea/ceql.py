@@ -34,7 +34,7 @@ from typing import Any, List, Mapping, Optional, Tuple
 
 from . import cel
 from .automaton import CEA, compile_cel
-from .predicates import Atom
+from .predicates import Atom, is_null
 
 _TOKEN = re.compile(
     r"""\s*(?:
@@ -141,13 +141,12 @@ class CompiledQuery:
 
     def ts_of(self, event: Mapping[str, Any], pos: int) -> float:
         """The event's ``time_attr`` value; ``pos`` when the query has no
-        time attribute or the value is NULL (None or NaN), as in
+        time attribute or the value is NULL (see ``is_null``), as in
         ``spark.batch.feed``."""
         if self.time_attr is None:
             return float(pos)
         v = event.get(self.time_attr)
-        t = float("nan") if v is None else float(v)
-        return float(pos) if t != t else t
+        return float(pos) if is_null(v) else float(v)
 
 
 class _Parser:

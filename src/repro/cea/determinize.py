@@ -11,7 +11,11 @@ exactly as CORE does — we determinize lazily while the stream is processed:
   bit ``i`` says whether atom ``i`` holds, and the pair
   ``(det_state, mask)`` keys a transition cache, so each distinct
   combination is computed only once and each predicate is evaluated once per
-  tuple.
+  tuple;
+* a *configuration* — the ordered tuple of det-states Algorithm 1 holds
+  active — is interned to a ``{mask: idle}`` table, filled on first use, so
+  the engine can tell with one dict lookup that a tuple changes nothing
+  (see :meth:`DetCEA.idle_table`).
 
 The NEXT selection strategy (skip-till-next-match) is implemented here at the
 branching level: when a marking successor exists, the non-marking branch is
@@ -22,7 +26,7 @@ DESIGN.md for why this preserves the measured behaviour).
 """
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 from .automaton import CEA
 
@@ -45,6 +49,8 @@ class DetCEA:
         self.q0 = self._intern(frozenset({cea.q0}))
         # (det_state, mask) -> (marking successor | None, non-marking | None)
         self._cache: Dict[Tuple[int, BitVec], Tuple[Optional[int], Optional[int]]] = {}
+        # configuration -> {mask: idle}
+        self._configs: Dict[Tuple[int, ...], Dict[BitVec, bool]] = {}
 
     def _intern(self, s: FrozenSet[int]) -> int:
         i = self._ids.get(s)
@@ -86,3 +92,23 @@ class DetCEA:
         out = (q_mark, q_unmark)
         self._cache[key] = out
         return out
+
+    def idle_table(self, config: Tuple[int, ...]) -> Dict[BitVec, bool]:
+        """The ``{mask: idle}`` table of configuration ``config`` (the active
+        det-states, in Algorithm 1's order), shared by every caller that
+        reaches the same configuration; entries are filled by the caller
+        with :meth:`is_idle`."""
+        table = self._configs.get(config)
+        if table is None:
+            table = self._configs[config] = {}
+        return table
+
+    def is_idle(self, config: Iterable[int], mask: BitVec) -> bool:
+        """Whether a tuple with mask ``mask`` leaves configuration
+        ``config`` as it is: no run starts at it (the initial state has no
+        successor), every active state only loops to itself without a mark,
+        and none of them is final, so the tuple ends no complex event."""
+        step = self.step
+        return step(self.q0, mask) == (None, None) and all(
+            not self._finals[p] and step(p, mask) == (None, p) for p in config
+        )

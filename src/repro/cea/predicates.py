@@ -34,6 +34,13 @@ _OPS = {
 }
 
 
+def is_null(v: Any) -> bool:
+    """Whether a scalar ``v`` is NULL: None, a NaN of any float type,
+    ``pd.NA`` or ``NaT`` (what ``pd.isna`` and Spark's ``dropna`` treat as
+    missing), tested without a pandas call."""
+    return v is None or v is pd.NA or v != v
+
+
 @dataclass(frozen=True)
 class Atom:
     """One atomic predicate ``attr op value`` over a single tuple.

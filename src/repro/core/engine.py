@@ -5,20 +5,25 @@ Per input tuple the engine:
 1. evaluates every distinct atomic predicate once, producing the tuple's
    bit-vector as an ``int`` mask (Section 5.4) — the key of every
    ``DetCEA.step`` below;
-2. starts a potential new run from the (I/O-determinized, on-the-fly) initial
+2. looks the mask up in the ``{mask: idle}`` table of its current
+   configuration (``DetCEA.idle_table``). An *idle* tuple starts no run,
+   moves no active state and ends no complex event, so the engine only
+   counts it, and prunes only once the window has passed the *horizon*, the
+   least tail max-start in ``T``. Steps 3–6 run for every other tuple;
+3. starts a potential new run from the (I/O-determinized, on-the-fly) initial
    state — runs may begin at any stream position. The successors are looked
    up first, and the fresh bottom node is built only when the initial state
    has one, so a tuple no run can start on allocates nothing;
-3. executes the marking/non-marking transitions of every active state in
+4. executes the marking/non-marking transitions of every active state in
    *insertion order* (``ordered-keys``), which processes states in
    non-increasing max-start order — the precondition of ``insert``. States
    without a successor are skipped, and ``merge(ul)`` is built only when it
    is used: for a marking successor, or when the non-marking successor is
    already in ``T2`` (the ``insert`` case). A non-marking successor new to
    ``T2`` takes a copy of the union-list itself;
-4. enumerates all complex events ending here from the union-lists of final
+5. enumerates all complex events ending here from the union-lists of final
    states (Algorithm 2), with output-linear delay;
-5. prunes union-list tails whose max-start fell out of the WITHIN window —
+6. prunes union-list tails whose max-start fell out of the WITHIN window —
    the amortized-constant analogue of the paper's weak-reference GC — keeping
    live state O(window · |Q|).
 
@@ -44,6 +49,7 @@ Spark paths compute the masks of a whole batch column by column
 """
 from __future__ import annotations
 
+import math
 import time
 from typing import Dict, List, Optional
 
@@ -87,6 +93,11 @@ class CoreEngine(EngineBase):
         self.tecs = TECS(debug=debug)
         # ordered-keys(T): Python dicts preserve insertion order.
         self.T: Dict[int, List[Node]] = {}
+        # The {mask: idle} table of T's configuration, and the horizon: the
+        # least tail max-start in T (nothing to prune until it leaves the
+        # window). Both are kept current wherever T changes.
+        self._idle: Dict[int, bool] = self.det.idle_table(())
+        self._horizon = math.inf
         self.update_time = 0.0
         self.enum_time = 0.0
 
@@ -96,8 +107,20 @@ class CoreEngine(EngineBase):
         ``PredicateIndex.mask``) at stream position ``pos`` and time ``now``;
         return the complex events ending there."""
         self.n_events += 1
-
         t0 = time.perf_counter() if self.timed else 0.0
+
+        # An idle tuple leaves T as it is and ends no complex event: it can
+        # only prune, and only once the window has passed the horizon.
+        idle = self._idle.get(mask)
+        if idle is None:
+            idle = self._idle[mask] = self.det.is_idle(self.T, mask)
+        if idle:
+            w = self.window
+            if w is not None and now - w > self._horizon:
+                self._prune(now)
+            if self.timed:
+                self.update_time += time.perf_counter() - t0
+            return []
 
         step = self.det.step
         T2: Dict[int, List[Node]] = {}
@@ -120,6 +143,7 @@ class CoreEngine(EngineBase):
             n = ul[0] if len(ul) == 1 else self.tecs.merge(ul)
             self._exec_trans(q_mark, q_unmark, ul, n, pos, T2)
         self.T = T2
+        self._idle = self.det.idle_table(tuple(T2))
 
         if self.timed:
             t1 = time.perf_counter()
@@ -146,7 +170,7 @@ class CoreEngine(EngineBase):
 
         if matches and self.consume:
             # Consumption policy: forget all events read so far.
-            self.T = {}
+            self.reset()
         else:
             self._prune(now)
         return matches
@@ -178,22 +202,31 @@ class CoreEngine(EngineBase):
                 self.tecs.insert(cur, n)
 
     def _prune(self, now: float) -> None:
-        """Window GC: drop union-list tails with max-start out of window."""
+        """Window GC: drop union-list tails with max-start out of window,
+        and set the horizon to the least tail max-start left."""
         if self.window is None:
             return
         tau = now - self.window
+        horizon = math.inf
         dead = []
         for p, ul in self.T.items():
             while ul and ul[-1].max_start < tau:
                 ul.pop()
             if not ul:
                 dead.append(p)
-        for p in dead:
-            del self.T[p]
+            elif ul[-1].max_start < horizon:
+                horizon = ul[-1].max_start
+        self._horizon = horizon
+        if dead:
+            for p in dead:
+                del self.T[p]
+            self._idle = self.det.idle_table(tuple(self.T))
 
     # ------------------------------------------------------------------
     def reset(self) -> None:
         self.T = {}
+        self._idle = self.det.idle_table(())
+        self._horizon = math.inf
 
     @property
     def n_active_states(self) -> int:

@@ -9,15 +9,16 @@ running one instance of the main algorithm per partition — so does
 baseline) and routes each tuple to its partition's instance.
 
 Tuples with NULL in any partition attribute belong to no substream and are
-skipped, per the Section 3 semantics. A float NaN is NULL here, as it is in
-pandas and in the Spark path (``dropna`` before grouping). Positions and times passed through are
-the *global* ones, so outputs are comparable across engines and with the
-SQL oracle.
+skipped, per the Section 3 semantics. NULL is None, NaN, ``pd.NA`` or
+``NaT`` (``is_null``), as in pandas and in the Spark path (``dropna`` before
+grouping). Positions and times passed through are the *global* ones, so
+outputs are comparable across engines and with the SQL oracle.
 """
 from __future__ import annotations
 
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
+from ..cea.predicates import is_null
 from .enumerate import Match
 
 
@@ -51,9 +52,10 @@ class PartitionedEngine:
         j = self._count if pos is None else pos
         self._count += 1
         self.n_events += 1
-        key = tuple(t.get(a) for a in self.partition_by)
-        if any(v is None or (isinstance(v, float) and v != v) for v in key):
-            return []
+        key = tuple(map(t.get, self.partition_by))
+        for v in key:
+            if is_null(v):
+                return []
         eng = self.engines.get(key)
         if eng is None:
             eng = self.engines[key] = self.factory()

@@ -44,7 +44,8 @@ def feed(engine: Any, frame: pd.DataFrame, query: CompiledQuery) -> List[Match]:
     pos = frame["pos"].to_numpy(np.int64)
     now = pos.astype(float)
     if query.time_attr is not None and query.time_attr in frame.columns:
-        times = frame[query.time_attr].astype(float).to_numpy()
+        col = frame[query.time_attr]
+        times = col.where(col.notna(), np.nan).astype(float).to_numpy()
         now = np.where(np.isnan(times), now, times)
     step = engine.step
     out: List[Match] = []

@@ -3,7 +3,11 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
+import hypothesis.strategies as st
+
+from repro.cea import cel
 from repro.cea.automaton import CEA
+from repro.cea.predicates import Atom
 from repro.engines import make_engine
 
 Match = Tuple[int, int, Tuple[int, ...]]
@@ -48,3 +52,32 @@ def run_engine_per_event(
     behaviours: consumption, windows)."""
     eng = make_engine(name, cea, **kw)
     return [set(eng.process(t, pos=pos)) for pos, t in enumerate(stream)]
+
+
+@st.composite
+def formulas(draw, depth=3):
+    """Random CEL formulas over event types A, B, C (every operator; FILTER
+    tests the numeric attribute ``v``)."""
+    if depth == 0:
+        return cel.EventType(draw(st.sampled_from("ABC")))
+    kind = draw(
+        st.sampled_from(["atom", "seq", "or", "plus", "as", "project", "filter"])
+    )
+    if kind == "atom":
+        return cel.EventType(draw(st.sampled_from("ABC")))
+    if kind == "seq":
+        return cel.Seq(draw(formulas(depth=depth - 1)), draw(formulas(depth=depth - 1)))
+    if kind == "or":
+        return cel.Or(draw(formulas(depth=depth - 1)), draw(formulas(depth=depth - 1)))
+    if kind == "plus":
+        return cel.Plus(draw(formulas(depth=max(depth - 2, 0))))
+    if kind == "as":
+        return cel.As(draw(formulas(depth=depth - 1)), draw(st.sampled_from("xy")))
+    if kind == "project":
+        sub = draw(formulas(depth=depth - 1))
+        keep = draw(st.frozensets(st.sampled_from(sorted(sub.variables())), max_size=2))
+        return cel.Project(sub, keep)
+    sub = draw(formulas(depth=depth - 1))
+    var = draw(st.sampled_from(sorted(sub.variables())))
+    atom = Atom("v", draw(st.sampled_from(["<", ">=", "=="])), draw(st.integers(0, 4)))
+    return cel.Filter(sub, var, frozenset({atom}))

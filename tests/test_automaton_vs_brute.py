@@ -7,7 +7,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from helpers import ALL_SYSTEMS, run_engine, stream_of
+from helpers import ALL_SYSTEMS, formulas, run_engine, stream_of
 from repro.cea import brute, cel
 from repro.cea.automaton import compile_cel
 from repro.cea.predicates import Atom
@@ -63,33 +63,6 @@ def test_engine_matches_brute_force(fname, sname, window, system):
     assert got == expected
 
 
-@st.composite
-def _formulas(draw, depth=3):
-    if depth == 0:
-        return cel.EventType(draw(st.sampled_from("ABC")))
-    kind = draw(
-        st.sampled_from(["atom", "seq", "or", "plus", "as", "project", "filter"])
-    )
-    if kind == "atom":
-        return cel.EventType(draw(st.sampled_from("ABC")))
-    if kind == "seq":
-        return cel.Seq(draw(_formulas(depth=depth - 1)), draw(_formulas(depth=depth - 1)))
-    if kind == "or":
-        return cel.Or(draw(_formulas(depth=depth - 1)), draw(_formulas(depth=depth - 1)))
-    if kind == "plus":
-        return cel.Plus(draw(_formulas(depth=max(depth - 2, 0))))
-    if kind == "as":
-        return cel.As(draw(_formulas(depth=depth - 1)), draw(st.sampled_from("xy")))
-    if kind == "project":
-        sub = draw(_formulas(depth=depth - 1))
-        keep = draw(st.frozensets(st.sampled_from(sorted(sub.variables())), max_size=2))
-        return cel.Project(sub, keep)
-    sub = draw(_formulas(depth=depth - 1))
-    var = draw(st.sampled_from(sorted(sub.variables())))
-    atom = Atom("v", draw(st.sampled_from(["<", ">=", "=="])), draw(st.integers(0, 4)))
-    return cel.Filter(sub, var, frozenset({atom}))
-
-
 _streams = st.lists(
     st.builds(
         lambda t, v: {"type": t, "v": v},
@@ -102,7 +75,7 @@ _streams = st.lists(
 
 
 @settings(max_examples=120, deadline=None)
-@given(phi=_formulas(), stream=_streams, window=st.sampled_from([None, 2, 4]))
+@given(phi=formulas(), stream=_streams, window=st.sampled_from([None, 2, 4]))
 def test_property_core_matches_brute(phi, stream, window):
     expected = brute.complex_events(phi, stream, window=window)
     got = run_engine("core", compile_cel(phi), stream, window=window)
@@ -110,7 +83,7 @@ def test_property_core_matches_brute(phi, stream, window):
 
 
 @settings(max_examples=60, deadline=None)
-@given(phi=_formulas(), stream=_streams, window=st.sampled_from([None, 3]))
+@given(phi=formulas(), stream=_streams, window=st.sampled_from([None, 3]))
 def test_property_baselines_match_brute(phi, stream, window):
     expected = brute.complex_events(phi, stream, window=window)
     cea = compile_cel(phi)

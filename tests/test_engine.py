@@ -3,7 +3,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import example, given, settings
 
-from helpers import stream_of
+from helpers import formulas, stream_of
 from repro.cea import brute, cel
 from repro.cea.automaton import compile_cel
 from repro.core.engine import CoreEngine
@@ -88,6 +88,35 @@ def test_no_window_means_no_pruning():
     assert any(len(ul) > 0 for ul in eng.T.values())
     got = eng.process({"type": "B"}, pos=50)
     assert len(got) == 50
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    phi=formulas(),
+    # (type, v, idle run before it, time gap per event)
+    segments=st.lists(
+        st.tuples(
+            st.sampled_from("ABC"), st.integers(0, 4), st.integers(0, 12), st.integers(0, 3)
+        ),
+        max_size=10,
+    ),
+    window=st.sampled_from([2, 5]),
+    time_window=st.booleans(),
+    consume=st.booleans(),
+)
+def test_window_state_after_every_step(phi, segments, window, time_window, consume):
+    """After every step, T holds only non-empty union-lists whose tails are
+    inside the window; this must hold across long runs of X tuples too,
+    where the engine takes its idle path."""
+    eng = CoreEngine(compile_cel(phi), window, consume=consume)
+    pos, now = 0, 0.0
+    for typ, v, noise, gap in segments:
+        for t in [{"type": "X"}] * noise + [{"type": typ, "v": v}]:
+            now = now + gap / 2 if time_window else float(pos)
+            eng.process(t, ts=now, pos=pos)
+            pos += 1
+            for ul in eng.T.values():
+                assert ul and ul[-1].max_start >= now - window
 
 
 def test_stats_counters():

@@ -1,4 +1,6 @@
 """Tests for PARTITION BY routing (paper Sections 3 and 5.4)."""
+import numpy as np
+import pandas as pd
 import pytest
 
 from repro.cea import cel
@@ -46,6 +48,22 @@ def test_nan_partition_attribute_excluded():
     assert out == [(5, 6, (5, 6))]
     assert eng.n_partitions == 1
     assert eng.n_events == len(stream)
+
+
+@pytest.mark.parametrize(
+    "null", [pd.NA, pd.NaT, np.float32("nan")], ids=["NA", "NaT", "float32-nan"]
+)
+def test_pandas_null_partition_keys_excluded(null):
+    # What pandas reads as NULL, and run_batch's dropna drops on Spark,
+    # opens no partition in PartitionedEngine either.
+    eng = make_partitioned("core", SEQ, ["vol"])
+    stream = [{"type": t, "vol": null} for t in "ABAB"]
+    stream += [{"type": "A", "vol": 1}, {"type": "B", "vol": 1}]
+    out = []
+    for i, t in enumerate(stream):
+        out.extend(eng.process(t, pos=i))
+    assert out == [(4, 5, (4, 5))]
+    assert eng.n_partitions == 1
 
 
 def test_multi_attribute_partitioning():

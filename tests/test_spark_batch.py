@@ -167,13 +167,16 @@ def test_consume_query_on_spark(spark):
 
 @pytest.mark.parametrize(
     "engine, null_time",
-    [pytest.param(e, None, id=e) for e in SYSTEMS]
-    + [pytest.param(e, float("nan"), id=f"{e}-nan") for e in SYSTEMS],
+    [
+        pytest.param(e, null, id=e + suffix)
+        for null, suffix in [(None, ""), (float("nan"), "-nan"), (pd.NA, "-na"), (pd.NaT, "-nat")]
+        for e in SYSTEMS
+    ],
 )
 def test_feed_equals_per_row_process(engine, null_time):
     """``feed`` (column-wise masks, array positions and times) gives what a
     per-row ``process`` loop gives, with NULL prices and NULL times (a NULL
-    time, None or NaN, falls back to the position)."""
+    time, None, NaN, pd.NA or NaT, falls back to the position)."""
     events = stock_stream(500, seed=4)
     for k, e in enumerate(events):
         if k % 7 == 0:
