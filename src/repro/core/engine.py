@@ -24,8 +24,10 @@ Per input tuple the engine:
 5. enumerates all complex events ending here from the union-lists of final
    states (Algorithm 2), with output-linear delay;
 6. prunes union-list tails whose max-start fell out of the WITHIN window —
-   the amortized-constant analogue of the paper's weak-reference GC — keeping
-   live state O(window · |Q|).
+   the amortized-constant analogue of the paper's weak-reference GC. This
+   bounds the union-lists to the window, but not yet the tECS reachable from
+   them: union nodes keep right children that have left the window, so the
+   reachable DAG still grows with stream length (ROADMAP item 2).
 
 Cost per tuple is O(|Q|·|Δ|) plus enumeration — constant in data complexity,
 independent of stream length, window size and number of partial matches;
@@ -50,7 +52,6 @@ Spark paths compute the masks of a whole batch column by column
 from __future__ import annotations
 
 import math
-import time
 from typing import Dict, List, Optional
 
 from ..cea.automaton import CEA
@@ -71,8 +72,6 @@ class CoreEngine(EngineBase):
         see ``EngineBase``.
     strategy:
         'all' | 'next' | 'last' | 'max'; anything else raises ``ValueError``.
-    timed:
-        collect the update-vs-enumeration split used by Figure 7.
     """
 
     def __init__(
@@ -83,13 +82,11 @@ class CoreEngine(EngineBase):
         consume: bool = False,
         limit: Optional[int] = None,
         strategy: str = "all",
-        timed: bool = False,
         debug: bool = False,
     ):
         self.det = DetCEA(cea, strategy)
         super().__init__(self.det.index, window, consume, limit)
         self.strategy = strategy
-        self.timed = timed
         self.tecs = TECS(debug=debug)
         # ordered-keys(T): Python dicts preserve insertion order.
         self.T: Dict[int, List[Node]] = {}
@@ -98,8 +95,6 @@ class CoreEngine(EngineBase):
         # window). Both are kept current wherever T changes.
         self._idle: Dict[int, bool] = self.det.idle_table(())
         self._horizon = math.inf
-        self.update_time = 0.0
-        self.enum_time = 0.0
 
     # ------------------------------------------------------------------
     def step(self, mask: int, pos: int, now: float) -> List[Match]:
@@ -107,7 +102,6 @@ class CoreEngine(EngineBase):
         ``PredicateIndex.mask``) at stream position ``pos`` and time ``now``;
         return the complex events ending there."""
         self.n_events += 1
-        t0 = time.perf_counter() if self.timed else 0.0
 
         # An idle tuple leaves T as it is and ends no complex event: it can
         # only prune, and only once the window has passed the horizon.
@@ -118,8 +112,6 @@ class CoreEngine(EngineBase):
             w = self.window
             if w is not None and now - w > self._horizon:
                 self._prune(now)
-            if self.timed:
-                self.update_time += time.perf_counter() - t0
             return []
 
         step = self.det.step
@@ -145,10 +137,6 @@ class CoreEngine(EngineBase):
         self.T = T2
         self._idle = self.det.idle_table(tuple(T2))
 
-        if self.timed:
-            t1 = time.perf_counter()
-            self.update_time += t1 - t0
-
         # OUTPUT (lines 29-33).
         matches: List[Match] = []
         is_final = self.det.is_final
@@ -164,9 +152,6 @@ class CoreEngine(EngineBase):
         if matches and filtered:
             matches = _apply_strategy(self.strategy, matches)[: self.limit]
         self.n_outputs += len(matches)
-
-        if self.timed:
-            self.enum_time += time.perf_counter() - t1
 
         if matches and self.consume:
             # Consumption policy: forget all events read so far.

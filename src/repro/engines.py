@@ -22,7 +22,6 @@ def make_engine(
     consume: bool = False,
     limit: Optional[int] = None,
     strategy: str = "all",
-    timed: bool = False,
     max_runs: Optional[int] = None,
 ) -> Any:
     """Build one single-partition engine by system name.
@@ -33,9 +32,7 @@ def make_engine(
     strategy raises ``ValueError``.
     """
     if name == "core":
-        return CoreEngine(
-            cea, window, consume=consume, limit=limit, strategy=strategy, timed=timed
-        )
+        return CoreEngine(cea, window, consume=consume, limit=limit, strategy=strategy)
     kw = dict(consume=consume, limit=limit, selection=strategy, max_runs=max_runs)
     if name == "sase":
         return SaseEngine(cea, window, **kw)

@@ -3,18 +3,20 @@
 Each function returns a list of row-dicts (ready for
 :func:`repro.harness.metrics.format_table`) with one row per
 (query-config, system) cell, mirroring the corresponding paper figure.
-Methodology follows Section 6: pre-generated in-memory streams, per-cell
-time budget, consumption policy on for experiments with output, enumeration
-capped at the first 10 complex events per input tuple.
+Methodology follows Section 6: every cell is one CEQL query run by one
+system over one pre-generated in-memory stream (``_cell``), with a per-cell
+time budget, consumption policy on for experiments with output, and
+enumeration capped at the first 10 complex events per input tuple.
 """
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Sequence
+import math
+import time
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from ..cea import cel
-from ..cea.automaton import CEA, compile_cel
-from ..cea.ceql import compile_query
 from ..baselines import sase
+from ..cea.ceql import CompiledQuery, compile_query, parse
+from ..core import engine as core_engine
 from ..engines import SYSTEMS, make_engine, make_partitioned
 from ..streams.generators import random_stream, stock_stream, typed_stream
 from .metrics import RunStats, default_budget, memory_run, throughput_run
@@ -26,93 +28,135 @@ OUTPUT_LIMIT = 10  # the paper enumerates only the first ten results
 # mid-benchmark. Never applied in correctness tests.
 MAX_RUNS = 100_000
 
+# The Table 4 patterns (Figure 9 left): iteration and disjunction.
+T4_PATTERNS = {
+    "K3": "A1; A2+; A3",
+    "K5": "A1; A2+; A3; A4+; A5",
+    "D3": "A1; (A2 OR A2x); A3",
+    "D5": "A1; (A2 OR A2x); A3; (A4 OR A4x); A5",
+}
 
-def _seq_formula(n: int) -> cel.CEL:
-    return cel.seq(*(cel.EventType(f"A{i}") for i in range(1, n + 1)))
+
+def seq_pattern(n: int) -> str:
+    """``A1; A2; ...; An``."""
+    return "; ".join(f"A{i}" for i in range(1, n + 1))
+
+
+def synthetic_query(pattern: str, window: float, strategy: str = "all") -> str:
+    """CEQL text of a synthetic (Tables 1–4) query: count window T, with
+    consumption."""
+    return (
+        f"SELECT {strategy.upper()} * FROM S WHERE {pattern} "
+        f"WITHIN {window} events CONSUME BY ANY"
+    )
+
+
+def _engine(system: str, cq: CompiledQuery) -> Any:
+    """``system``'s engine for ``cq``: one per partition under PARTITION BY."""
+    kw = dict(
+        window=cq.window, consume=cq.consume, limit=OUTPUT_LIMIT,
+        strategy=cq.strategy, max_runs=MAX_RUNS,
+    )
+    if cq.partition_by:
+        return make_partitioned(system, cq.cea, cq.partition_by, **kw)
+    return make_engine(system, cq.cea, **kw)
 
 
 def _cell(
-    system: str,
-    cea: CEA,
-    events,
-    *,
-    window: Optional[float],
-    consume: bool,
-    budget_s: Optional[float],
-    strategy: str = "all",
-    ts_of=None,
+    system: str, cq: CompiledQuery, events, budget_s: Optional[float]
 ) -> RunStats:
-    eng = make_engine(
-        system,
-        cea,
-        window=window,
-        consume=consume,
-        limit=OUTPUT_LIMIT,
-        strategy=strategy,
-        max_runs=MAX_RUNS,
+    """One table cell: ``cq`` run by ``system`` over ``events``."""
+    return throughput_run(
+        _engine(system, cq), events, budget_s=budget_s, ts_of=cq.ts_of
     )
-    return throughput_run(eng, events, budget_s=budget_s, ts_of=ts_of)
+
+
+def _query_rows(
+    table: str, qname: str, text: str, events, systems, budget_s
+) -> List[Dict[str, Any]]:
+    """One row per system for query ``text``; SASE's cell is skipped when
+    the query needs disjunction."""
+    q = parse(text)
+    cq = compile_query(q)
+    rows = []
+    for system in systems:
+        row = {
+            "table": table, "query": qname, "system": system,
+            "throughput_eps": float("nan"), "outputs": 0,
+            "note": "no disjunction support",
+        }
+        if system != "sase" or sase.supports(q.formula()):
+            st = _cell(system, cq, events, budget_s)
+            row.update(throughput_eps=st.throughput, outputs=st.outputs, note="")
+        rows.append(row)
+    return rows
 
 
 # ----------------------------------------------------------------------
 # Table 1 (Figure 7): sequence queries with output.
 # ----------------------------------------------------------------------
+def _core_cell_split(
+    cq: CompiledQuery, events, budget_s: float
+) -> Tuple[RunStats, float]:
+    """CORE's cell and the seconds of it spent in Algorithm 2: the engine
+    module's ``enumerate_matches`` is timed during the run (the hook
+    ``perfbench/tracing.py`` uses) and restored afterwards."""
+    orig = core_engine.enumerate_matches
+    enum_s = 0.0
+
+    def enumerate_matches(*args):
+        nonlocal enum_s
+        t0 = time.perf_counter()
+        res = orig(*args)
+        enum_s += time.perf_counter() - t0
+        return res
+
+    core_engine.enumerate_matches = enumerate_matches
+    try:
+        st = _cell("core", cq, events, budget_s)
+    finally:
+        core_engine.enumerate_matches = orig
+    return st, enum_s
+
+
 def table1_sequence(
     ns: Sequence[int] = (3, 5, 7, 9),
     *,
     window: float = 100,
     n_events: int = 200_000,
     budget_s: Optional[float] = None,
-    memory_budget_s: Optional[float] = None,
     systems: Sequence[str] = SYSTEMS,
     seed: int = 0,
 ) -> List[Dict[str, Any]]:
     """Throughput / update-throughput / enumeration-throughput / memory for
     A1;..;An, n in ``ns``, count window 100, noisy uniform stream. The
-    update/enumeration split is CORE's ``timed`` one; it is NaN for the
-    baselines."""
+    update/enumeration split is CORE's: enumeration is the time the cell
+    spends in Algorithm 2, update the rest of the cell. It is NaN for the
+    baselines, which build each match while they extend its run."""
+    budget = default_budget() if budget_s is None else budget_s
     rows = []
     for n in ns:
-        cea = compile_cel(_seq_formula(n))
+        cq = compile_query(synthetic_query(seq_pattern(n), window))
         events = random_stream(n_events, n_seq=n, seed=seed)
         for system in systems:
+            update_eps = enum_ops = float("nan")
             if system == "core":
-                # CORE is instrumented: exact update/enumeration time split.
-                eng = make_engine(
-                    "core", cea, window=window, consume=True,
-                    limit=OUTPUT_LIMIT, timed=True,
-                )
-                full = throughput_run(eng, events, budget_s=budget_s)
-                update_eps = RunStats(full.events, eng.update_time, 0).throughput
-                enum_tp = (
-                    full.outputs / eng.enum_time
-                    if eng.enum_time > 0 and full.outputs
-                    else float("nan")
-                )
+                full, enum_s = _core_cell_split(cq, events, budget)
+                update_eps = RunStats(full.events, full.elapsed - enum_s, 0).throughput
+                if enum_s > 0 and full.outputs:
+                    enum_ops = full.outputs / enum_s
             else:
-                # A baseline materializes each match while it extends the
-                # run, so it has no update or enumeration phase to time.
-                full = _cell(
-                    system, cea, events,
-                    window=window, consume=True, budget_s=budget_s,
-                )
-                update_eps = enum_tp = float("nan")
+                full = _cell(system, cq, events, budget)
             mem = memory_run(
-                lambda: make_engine(
-                    system, cea, window=window, consume=True,
-                    limit=OUTPUT_LIMIT, max_runs=MAX_RUNS,
-                ),
-                events,
-                budget_s=memory_budget_s
-                if memory_budget_s is not None
-                else (budget_s if budget_s is not None else default_budget()) / 2,
+                lambda: _engine(system, cq), events,
+                ts_of=cq.ts_of, budget_s=budget / 2,
             )
             rows.append(
                 {
                     "table": "T1", "query": f"seq n={n}", "system": system,
                     "throughput_eps": full.throughput,
                     "update_eps": update_eps,
-                    "enum_ops": enum_tp,
+                    "enum_ops": enum_ops,
                     "outputs": full.outputs,
                     "memory_bytes": mem,
                 }
@@ -133,14 +177,12 @@ def table2_window(
 ) -> List[Dict[str, Any]]:
     """A1;A2;A3 with A3 hidden from the stream: every partial match survives
     the full window, the worst case for materializing systems."""
-    cea = compile_cel(_seq_formula(3))
     events = random_stream(n_events, n_seq=3, hide_last=True, seed=seed)
     rows = []
     for w in windows:
+        cq = compile_query(synthetic_query(seq_pattern(3), w))
         for system in systems:
-            st = _cell(
-                system, cea, events, window=w, consume=True, budget_s=budget_s
-            )
+            st = _cell(system, cq, events, budget_s)
             rows.append(
                 {
                     "table": "T2", "query": f"seq n=3, T={int(w)}",
@@ -164,30 +206,17 @@ def table3_selection(
 ) -> List[Dict[str, Any]]:
     """A1;A2;A3, T=100, A3 hidden. CORE runs ALL/NEXT/LAST/MAX; the
     baselines run their default selection strategy (skip-till-next)."""
-    cea = compile_cel(_seq_formula(3))
     events = random_stream(n_events, n_seq=3, hide_last=True, seed=seed)
+    cells = [("core", strat) for strat in ("all", "next", "last", "max")]
+    cells += [(system, "next") for system in systems if system != "core"]
     rows = []
-    for strat in ("all", "next", "last", "max"):
-        st = _cell(
-            "core", cea, events,
-            window=window, consume=True, budget_s=budget_s, strategy=strat,
-        )
+    for system, strat in cells:
+        cq = compile_query(synthetic_query(seq_pattern(3), window, strat))
+        st = _cell(system, cq, events, budget_s)
         rows.append(
             {
-                "table": "T3", "system": "core", "strategy": strat.upper(),
-                "throughput_eps": st.throughput,
-            }
-        )
-    for system in systems:
-        if system == "core":
-            continue
-        st = _cell(
-            system, cea, events,
-            window=window, consume=True, budget_s=budget_s, strategy="next",
-        )
-        rows.append(
-            {
-                "table": "T3", "system": system, "strategy": "DEFAULT",
+                "table": "T3", "system": system,
+                "strategy": strat.upper() if system == "core" else "DEFAULT",
                 "throughput_eps": st.throughput,
             }
         )
@@ -197,21 +226,6 @@ def table3_selection(
 # ----------------------------------------------------------------------
 # Table 4 (Figure 9 left): iteration and disjunction.
 # ----------------------------------------------------------------------
-def _t4_queries() -> Dict[str, cel.CEL]:
-    a = cel.EventType
-    return {
-        "K3": cel.seq(a("A1"), cel.Plus(a("A2")), a("A3")),
-        "K5": cel.seq(
-            a("A1"), cel.Plus(a("A2")), a("A3"), cel.Plus(a("A4")), a("A5")
-        ),
-        "D3": cel.seq(a("A1"), cel.Or(a("A2"), a("A2x")), a("A3")),
-        "D5": cel.seq(
-            a("A1"), cel.Or(a("A2"), a("A2x")), a("A3"),
-            cel.Or(a("A4"), a("A4x")), a("A5"),
-        ),
-    }
-
-
 def table4_operators(
     *,
     window: float = 100,
@@ -221,31 +235,13 @@ def table4_operators(
     seed: int = 0,
 ) -> List[Dict[str, Any]]:
     rows = []
-    for qname, phi in _t4_queries().items():
-        types = sorted(phi.event_types()) + [f"B{i}" for i in range(1, 7)]
-        events = typed_stream(n_events, types, seed=seed)
-        cea = compile_cel(phi)
-        for system in systems:
-            if system == "sase" and not sase.supports(phi):
-                rows.append(
-                    {
-                        "table": "T4", "query": qname, "system": system,
-                        "throughput_eps": float("nan"), "outputs": 0,
-                        "note": "no disjunction support",
-                    }
-                )
-                continue
-            st = _cell(
-                system, cea, events,
-                window=window, consume=True, budget_s=budget_s,
-            )
-            rows.append(
-                {
-                    "table": "T4", "query": qname, "system": system,
-                    "throughput_eps": st.throughput, "outputs": st.outputs,
-                    "note": "",
-                }
-            )
+    for qname, pattern in T4_PATTERNS.items():
+        text = synthetic_query(pattern, window)
+        types = sorted(parse(text).formula().event_types())
+        events = typed_stream(
+            n_events, types + [f"B{i}" for i in range(1, 7)], seed=seed
+        )
+        rows += _query_rows("T4", qname, text, events, systems, budget_s)
     return rows
 
 
@@ -263,39 +259,9 @@ def table5_stock(
     events = stock_stream(n_events, seed=seed)
     rows = []
     for qname in queries or sorted(STOCK_QUERIES):
-        cq = compile_query(STOCK_QUERIES[qname])
-        needs_or = qname in ("Q4", "Q5", "Q6", "Q7")
-        ts_of = cq.ts_of
-        for system in systems:
-            if system == "sase" and needs_or:
-                rows.append(
-                    {
-                        "table": "T5", "query": qname, "system": system,
-                        "throughput_eps": float("nan"), "outputs": 0,
-                        "note": "no disjunction support",
-                    }
-                )
-                continue
-            if cq.partition_by:
-                eng = make_partitioned(
-                    system, cq.cea, cq.partition_by,
-                    window=cq.window, consume=cq.consume, limit=OUTPUT_LIMIT,
-                    max_runs=MAX_RUNS,
-                )
-            else:
-                eng = make_engine(
-                    system, cq.cea,
-                    window=cq.window, consume=cq.consume, limit=OUTPUT_LIMIT,
-                    max_runs=MAX_RUNS,
-                )
-            st = throughput_run(eng, events, budget_s=budget_s, ts_of=ts_of)
-            rows.append(
-                {
-                    "table": "T5", "query": qname, "system": system,
-                    "throughput_eps": st.throughput, "outputs": st.outputs,
-                    "note": "",
-                }
-            )
+        rows += _query_rows(
+            "T5", qname, STOCK_QUERIES[qname], events, systems, budget_s
+        )
     return rows
 
 
@@ -312,10 +278,6 @@ def table6_spark(
     """Wall-clock for partitioned stock queries: one engine per partition on
     the driver (the paper's execution model) vs Spark ``applyInPandas``
     fan-out of the same per-partition engines."""
-    import time
-
-    import pandas as pd  # noqa: F401
-
     from ..spark.batch import run_batch
     from ..streams.generators import to_pandas
 
@@ -324,15 +286,7 @@ def table6_spark(
     rows = []
     for qname in queries:
         cq = compile_query(STOCK_QUERIES[qname])
-        eng = make_partitioned(
-            "core", cq.cea, cq.partition_by,
-            window=cq.window, consume=cq.consume, limit=OUTPUT_LIMIT,
-        )
-        t0 = time.perf_counter()
-        n_out = 0
-        for pos, t in enumerate(events):
-            n_out += len(eng.process(t, ts=cq.ts_of(t, pos), pos=pos))
-        t_driver = time.perf_counter() - t0
+        driver = _cell("core", cq, events, math.inf)
         t0 = time.perf_counter()
         spark_out = run_batch(
             spark, pdf, cq, engine="core", limit=OUTPUT_LIMIT
@@ -341,9 +295,9 @@ def table6_spark(
         rows.append(
             {
                 "table": "T6", "query": qname,
-                "driver_s": t_driver, "driver_eps": n_events / t_driver,
+                "driver_s": driver.elapsed, "driver_eps": driver.throughput,
                 "spark_s": t_spark, "spark_eps": n_events / t_spark,
-                "driver_outputs": n_out, "spark_outputs": spark_out,
+                "driver_outputs": driver.outputs, "spark_outputs": spark_out,
             }
         )
     return rows

@@ -76,19 +76,12 @@ def memory_run(
     state (partial matches / tECS nodes) is measured — the analogue of the
     paper's GC-then-sample JVM measurement.
     """
-    budget = default_budget() if budget_s is None else budget_s
     tracemalloc.start()
     try:
         eng = factory()
         tracemalloc.reset_peak()
-        deadline = time.perf_counter() + budget
-        for pos, t in enumerate(events):
-            ts = None if ts_of is None else ts_of(t, pos)
-            eng.process(t, ts=ts, pos=pos)
-            if time.perf_counter() >= deadline:
-                break
-        _, peak = tracemalloc.get_traced_memory()
-        return peak
+        throughput_run(eng, events, budget_s=budget_s, ts_of=ts_of)
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
 

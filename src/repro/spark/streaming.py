@@ -4,9 +4,10 @@ Implements automaton-based partial-match maintenance as a
 ``applyInPandasWithState`` operator (PySpark's flatMapGroupsWithState):
 
 * the stream is grouped by the PARTITION BY key (or a constant key);
-* per-key state holds the pickled engine — the tECS is pruned to the WITHIN
-  window (Section 5.4's weak-reference GC analogue), so state size is
-  O(window · |Q|) regardless of stream length;
+* per-key state holds the pickled engine — its union-lists are pruned to
+  the WITHIN window (Section 5.4's weak-reference GC analogue), but the tECS
+  reachable from them is not yet bounded, so the pickle still grows with
+  the stream length per key (ROADMAP item 2);
 * each micro-batch feeds its rows to the engine in arrival order and emits
   the recognized complex events in append mode.
 

@@ -120,11 +120,10 @@ def test_window_state_after_every_step(phi, segments, window, time_window, consu
 
 
 def test_stats_counters():
-    eng = CoreEngine(compile_cel(cel.Seq(A, B)), timed=True)
+    eng = CoreEngine(compile_cel(cel.Seq(A, B)))
     _feed(eng, stream_of("A", "B"))
     assert eng.n_events == 2
     assert eng.n_outputs == 1
-    assert eng.update_time > 0 and eng.enum_time >= 0
     assert eng.n_nodes_created > 0
 
 

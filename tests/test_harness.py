@@ -1,8 +1,12 @@
 """Tests for the measurement harness and experiment drivers (tiny budgets)."""
 import math
 
+import pytest
+
 from repro.cea import cel
 from repro.cea.automaton import compile_cel
+from repro.cea.ceql import compile_query
+from repro.core import engine as core_engine
 from repro.engines import make_engine
 from repro.harness import experiments
 from repro.harness.metrics import format_table, memory_run, throughput_run
@@ -41,14 +45,64 @@ def test_format_table():
     assert format_table([]) == "(no rows)"
 
 
+A = cel.EventType
+# The formulas the synthetic query texts replaced, built here from the AST.
+SYNTHETIC_FORMULAS = {
+    **{
+        f"seq n={n}": (
+            experiments.seq_pattern(n),
+            cel.seq(*(A(f"A{i}") for i in range(1, n + 1))),
+        )
+        for n in (3, 5, 7, 9)
+    },
+    "K3": (
+        experiments.T4_PATTERNS["K3"],
+        cel.seq(A("A1"), cel.Plus(A("A2")), A("A3")),
+    ),
+    "K5": (
+        experiments.T4_PATTERNS["K5"],
+        cel.seq(A("A1"), cel.Plus(A("A2")), A("A3"), cel.Plus(A("A4")), A("A5")),
+    ),
+    "D3": (
+        experiments.T4_PATTERNS["D3"],
+        cel.seq(A("A1"), cel.Or(A("A2"), A("A2x")), A("A3")),
+    ),
+    "D5": (
+        experiments.T4_PATTERNS["D5"],
+        cel.seq(
+            A("A1"), cel.Or(A("A2"), A("A2x")), A("A3"),
+            cel.Or(A("A4"), A("A4x")), A("A5"),
+        ),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SYNTHETIC_FORMULAS))
+def test_synthetic_query_text_compiles_to_formula_cea(name):
+    pattern, phi = SYNTHETIC_FORMULAS[name]
+    cq = compile_query(experiments.synthetic_query(pattern, 100))
+    want = compile_cel(phi)
+    assert cq.cea.n_states == want.n_states
+    assert cq.cea.transitions == want.transitions
+    assert cq.cea.q0 == want.q0
+    assert cq.cea.finals == want.finals
+    assert (cq.window, cq.time_attr, cq.consume, cq.strategy) == (
+        100, None, True, "all"
+    )
+
+
 def test_table1_rows_shape():
+    orig_enum = core_engine.enumerate_matches
     rows = experiments.table1_sequence(ns=(3,), **TINY)
+    assert core_engine.enumerate_matches is orig_enum  # the timing hook is undone
     assert len(rows) == 4  # one per system
     for r in rows:
         assert r["throughput_eps"] > 0
         assert r["memory_bytes"] > 0
     core = next(r for r in rows if r["system"] == "core")
     assert core["outputs"] > 0 and core["enum_ops"] > 0 and core["update_eps"] > 0
+    # Update throughput leaves out enumeration time, so it is never lower.
+    assert core["update_eps"] >= core["throughput_eps"]
     # The baselines build matches inline: no update/enumeration split.
     for r in rows:
         if r["system"] != "core":
