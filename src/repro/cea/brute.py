@@ -14,7 +14,7 @@ building complex events).
 """
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, Mapping, Set, Tuple
+from typing import Dict, FrozenSet, List, Mapping, Sequence, Set, Tuple
 
 from . import cel
 
@@ -101,15 +101,18 @@ def _seq_join(vs1: Set[Valuation], vs2: Set[Valuation]) -> Set[Valuation]:
 
 
 def complex_events(
-    phi: cel.CEL, stream: List[Mapping], window: float | None = None
+    phi: cel.CEL,
+    stream: List[Mapping],
+    window: float | None = None,
+    ts: Sequence[float] | None = None,
 ) -> Set[ComplexEvent]:
     """Complex-event semantics ``[[phi]]^eps(S)``: forget variables, apply
-    the WITHIN filter ``end - start <= window`` (count-based time axis, i.e.
-    positions; tests that use a time attribute window pre-filter themselves).
+    the WITHIN filter ``ts[end] - ts[start] <= window``. ``ts`` gives each
+    tuple's time; without it time is the position (count-based windows).
     """
     out = set()
     for (i, j, m) in evaluate(phi, stream):
-        if window is not None and j - i > window:
+        if window is not None and (j - i if ts is None else ts[j] - ts[i]) > window:
             continue
         data = frozenset().union(*(ps for _, ps in m)) if m else frozenset()
         out.add((i, j, tuple(sorted(data))))

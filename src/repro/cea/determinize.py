@@ -13,9 +13,15 @@ exactly as CORE does — we determinize lazily while the stream is processed:
   combination is computed only once and each predicate is evaluated once per
   tuple;
 * a *configuration* — the ordered tuple of det-states Algorithm 1 holds
-  active — is interned to a ``{mask: idle}`` table, filled on first use, so
-  the engine can tell with one dict lookup that a tuple changes nothing
-  (see :meth:`DetCEA.idle_table`).
+  active — is interned to a ``{mask: plan}`` table, filled on first use. A
+  *step plan* is everything Algorithm 1 decides about a tuple from its mask
+  alone: which successors the initial and the active states take, which
+  states of the next configuration are final, and that configuration's own
+  table; or ``False`` when the tuple changes nothing. The engine then pays
+  one dict lookup per tuple (see :meth:`DetCEA.plan`).
+
+The transition cache and the plan tables are rebuilt lazily, so a pickled
+``DetCEA`` holds only the interned det-states.
 
 The NEXT selection strategy (skip-till-next-match) is implemented here at the
 branching level: when a marking successor exists, the non-marking branch is
@@ -26,12 +32,15 @@ DESIGN.md for why this preserves the measured behaviour).
 """
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
+from typing import Any, Dict, FrozenSet, List, Optional, Tuple
 
 from .automaton import CEA
 
 # A tuple's predicate bit-vector as an int mask (``PredicateIndex.mask``).
 BitVec = int
+# What ``DetCEA.plan`` compiles: ``False`` for an idle tuple, else
+# ``(init, ops, finals, next_table)`` (see there).
+Plan = Any
 
 
 class DetCEA:
@@ -49,8 +58,22 @@ class DetCEA:
         self.q0 = self._intern(frozenset({cea.q0}))
         # (det_state, mask) -> (marking successor | None, non-marking | None)
         self._cache: Dict[Tuple[int, BitVec], Tuple[Optional[int], Optional[int]]] = {}
-        # configuration -> {mask: idle}
-        self._configs: Dict[Tuple[int, ...], Dict[BitVec, bool]] = {}
+        # configuration -> {mask: plan}
+        self._tables: Dict[Tuple[int, ...], Dict[BitVec, Plan]] = {}
+        # Equal ops, op tuples and final-state tuples of different plans,
+        # stored once: a long query compiles many plans that share them.
+        self._parts: Dict[tuple, tuple] = {}
+
+    def __getstate__(self):  # the caches are rebuilt on first use
+        state = self.__dict__.copy()
+        del state["_cache"], state["_tables"], state["_parts"]
+        return state
+
+    def __setstate__(self, state):
+        self.__dict__.update(state)
+        self._cache = {}
+        self._tables = {}
+        self._parts = {}
 
     def _intern(self, s: FrozenSet[int]) -> int:
         i = self._ids.get(s)
@@ -93,22 +116,61 @@ class DetCEA:
         self._cache[key] = out
         return out
 
-    def idle_table(self, config: Tuple[int, ...]) -> Dict[BitVec, bool]:
-        """The ``{mask: idle}`` table of configuration ``config`` (the active
+    def plan_table(self, config: Tuple[int, ...]) -> Dict[BitVec, Plan]:
+        """The ``{mask: plan}`` table of configuration ``config`` (the active
         det-states, in Algorithm 1's order), shared by every caller that
-        reaches the same configuration; entries are filled by the caller
-        with :meth:`is_idle`."""
-        table = self._configs.get(config)
+        reaches the same configuration; :meth:`plan` fills it."""
+        table = self._tables.get(config)
         if table is None:
-            table = self._configs[config] = {}
+            table = self._tables[config] = {}
         return table
 
-    def is_idle(self, config: Iterable[int], mask: BitVec) -> bool:
-        """Whether a tuple with mask ``mask`` leaves configuration
-        ``config`` as it is: no run starts at it (the initial state has no
-        successor), every active state only loops to itself without a mark,
-        and none of them is final, so the tuple ends no complex event."""
+    def plan(self, config: Tuple[int, ...], mask: BitVec) -> Plan:
+        """Compile the step plan of configuration ``config`` on a tuple with
+        mask ``mask``, store it in ``config``'s table and return it.
+
+        The plan is ``False`` when the tuple is *idle*: no run starts at it,
+        every active state only loops to itself without a mark, and none of
+        them is final, so it leaves the configuration as it is and ends no
+        complex event. Otherwise it is ``(init, ops, finals, next_table)``:
+
+        * ``init`` — the initial state's ``(q_mark, q_unmark)``, or None when
+          it has no successor (no run starts here);
+        * ``ops`` — one ``(p, q_mark, q_unmark, copy)`` per state ``p`` of
+          ``config`` that has a successor, in ``config``'s order; ``copy``
+          says ``p`` has only a non-marking successor and it is new to the
+          next configuration, so ``p``'s union-list moves there as it is;
+        * ``finals`` — the final states of the next configuration, in order;
+        * ``next_table`` — the next configuration's plan table.
+        """
         step = self.step
-        return step(self.q0, mask) == (None, None) and all(
-            not self._finals[p] and step(p, mask) == (None, p) for p in config
-        )
+        share = self._parts.setdefault
+        init = step(self.q0, mask)
+        # The next configuration: T2's keys in insertion order.
+        nxt: Dict[int, None] = {}
+        if init == (None, None):
+            init = None
+        else:
+            for q in init:
+                if q is not None:
+                    nxt.setdefault(q)
+        ops = []
+        for p in config:
+            q_mark, q_unmark = step(p, mask)
+            if q_mark is None and q_unmark is None:
+                continue
+            op = (p, q_mark, q_unmark, q_mark is None and q_unmark not in nxt)
+            ops.append(share(op, op))
+            if q_mark is not None:
+                nxt.setdefault(q_mark)
+            if q_unmark is not None:
+                nxt.setdefault(q_unmark)
+        finals = tuple(q for q in nxt if self._finals[q])
+        if init is None and not finals and ops == [(p, None, p, True) for p in config]:
+            plan: Plan = False
+        else:
+            ops_t = tuple(ops)
+            next_table = self.plan_table(tuple(nxt))
+            plan = (init, share(ops_t, ops_t), share(finals, finals), next_table)
+        self.plan_table(config)[mask] = plan
+        return plan

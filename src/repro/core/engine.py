@@ -3,31 +3,39 @@
 Per input tuple the engine:
 
 1. evaluates every distinct atomic predicate once, producing the tuple's
-   bit-vector as an ``int`` mask (Section 5.4) — the key of every
-   ``DetCEA.step`` below;
-2. looks the mask up in the ``{mask: idle}`` table of its current
-   configuration (``DetCEA.idle_table``). An *idle* tuple starts no run,
+   bit-vector as an ``int`` mask (Section 5.4) — the key of the step plan
+   below;
+2. looks the mask up in the ``{mask: plan}`` table of its current
+   configuration, the ordered det-states of ``T`` (``DetCEA.plan_table``).
+   A *step plan* holds every decision of Algorithm 1 that depends only on
+   the configuration and the mask; ``DetCEA.plan`` compiles it from
+   ``DetCEA.step`` on the first miss, so a pair that recurs costs no
+   ``DetCEA.step`` call. An *idle* tuple (plan ``False``) starts no run,
    moves no active state and ends no complex event, so the engine only
-   counts it, and prunes only once the window has passed the *horizon*, the
-   least tail max-start in ``T``. Steps 3–6 run for every other tuple;
+   counts it. Steps 3–5 run the plan of every other tuple;
 3. starts a potential new run from the (I/O-determinized, on-the-fly) initial
-   state — runs may begin at any stream position. The successors are looked
-   up first, and the fresh bottom node is built only when the initial state
-   has one, so a tuple no run can start on allocates nothing;
-4. executes the marking/non-marking transitions of every active state in
-   *insertion order* (``ordered-keys``), which processes states in
-   non-increasing max-start order — the precondition of ``insert``. States
-   without a successor are skipped, and ``merge(ul)`` is built only when it
-   is used: for a marking successor, or when the non-marking successor is
-   already in ``T2`` (the ``insert`` case). A non-marking successor new to
-   ``T2`` takes a copy of the union-list itself;
-5. enumerates all complex events ending here from the union-lists of final
-   states (Algorithm 2), with output-linear delay;
+   state — runs may begin at any stream position. The fresh bottom node is
+   built only when the plan says the initial state has a successor, so a
+   tuple no run can start on allocates nothing;
+4. executes the marking/non-marking transitions of every active state with
+   a successor, in *insertion order* (``ordered-keys``), which processes
+   states in non-increasing max-start order — the precondition of
+   ``insert``. ``merge(ul)`` is built only when it is used: for a marking
+   successor, or when the non-marking successor is already in ``T2`` (the
+   ``insert`` case). Every union-list of ``T`` is read by one op, so one
+   that goes on to ``T2`` moves there uncopied; the plan then hands over the
+   next configuration's table;
+5. enumerates all complex events ending here from the union-lists of the
+   plan's final states (Algorithm 2), with output-linear delay;
 6. prunes union-list tails whose max-start fell out of the WITHIN window —
-   the amortized-constant analogue of the paper's weak-reference GC. This
-   bounds the union-lists to the window, but not yet the tECS reachable from
-   them: union nodes keep right children that have left the window, so the
-   reachable DAG still grows with stream length (ROADMAP item 2).
+   the amortized-constant analogue of the paper's weak-reference GC. It
+   runs only once the window has passed the *horizon*, a lower bound on the
+   least tail max-start in ``T``: every node a step adds starts at or after
+   it, except a bottom, which lowers it to ``now``, so below it pruning
+   would drop nothing. This bounds the union-lists to the window, but not
+   yet the tECS reachable from them: union nodes keep right children that
+   have left the window, so the reachable DAG still grows with stream
+   length (ROADMAP item 2).
 
 Cost per tuple is O(|Q|·|Δ|) plus enumeration — constant in data complexity,
 independent of stream length, window size and number of partial matches;
@@ -90,11 +98,21 @@ class CoreEngine(EngineBase):
         self.tecs = TECS(debug=debug)
         # ordered-keys(T): Python dicts preserve insertion order.
         self.T: Dict[int, List[Node]] = {}
-        # The {mask: idle} table of T's configuration, and the horizon: the
-        # least tail max-start in T (nothing to prune until it leaves the
-        # window). Both are kept current wherever T changes.
-        self._idle: Dict[int, bool] = self.det.idle_table(())
+        # The {mask: plan} table of T's configuration (kept current wherever
+        # T's keys change), and the horizon: a lower bound on the least tail
+        # max-start in T, exact after each prune (nothing to prune until it
+        # leaves the window).
+        self._plans = self.det.plan_table(())
         self._horizon = math.inf
+
+    def __getstate__(self):  # the plan tables are rebuilt on first use
+        state = self.__dict__.copy()
+        del state["_plans"]
+        return state
+
+    def __setstate__(self, state):
+        self.__dict__.update(state)
+        self._plans = self.det.plan_table(tuple(self.T))
 
     # ------------------------------------------------------------------
     def step(self, mask: int, pos: int, now: float) -> List[Match]:
@@ -102,89 +120,84 @@ class CoreEngine(EngineBase):
         ``PredicateIndex.mask``) at stream position ``pos`` and time ``now``;
         return the complex events ending there."""
         self.n_events += 1
+        plan = self._plans.get(mask)
+        if plan is None:
+            plan = self.det.plan(tuple(self.T), mask)
+        w = self.window
 
         # An idle tuple leaves T as it is and ends no complex event: it can
         # only prune, and only once the window has passed the horizon.
-        idle = self._idle.get(mask)
-        if idle is None:
-            idle = self._idle[mask] = self.det.is_idle(self.T, mask)
-        if idle:
-            w = self.window
+        if plan is False:
             if w is not None and now - w > self._horizon:
                 self._prune(now)
             return []
 
-        step = self.det.step
+        init, ops, finals, self._plans = plan
+        tecs = self.tecs
+        T = self.T
         T2: Dict[int, List[Node]] = {}
         # Lines 7-8: a new run may start at the current position.
-        q_mark, q_unmark = step(self.det.q0, mask)
-        if q_mark is not None or q_unmark is not None:
-            b = self.tecs.bottom(pos, now)
-            self._exec_trans(q_mark, q_unmark, [b], b, pos, T2)
-        # Lines 9-10: extend every active state, in insertion order.
-        for p, ul in self.T.items():
-            q_mark, q_unmark = step(p, mask)
-            if q_mark is None:
-                # merge(ul) is then needed only to insert into a union-list
-                # already in T2.
-                if q_unmark is None:
-                    continue
-                if q_unmark not in T2:
-                    T2[q_unmark] = list(ul)
-                    continue
-            n = ul[0] if len(ul) == 1 else self.tecs.merge(ul)
-            self._exec_trans(q_mark, q_unmark, ul, n, pos, T2)
+        if init is not None:
+            b = tecs.bottom(pos, now)
+            q_mark, q_unmark = init
+            if q_mark is not None:
+                T2[q_mark] = [tecs.extend(b, pos)]
+            if q_unmark is not None:
+                if q_unmark == q_mark:
+                    tecs.insert(T2[q_unmark], b)
+                else:
+                    T2[q_unmark] = [b]
+            if now < self._horizon:
+                self._horizon = now
+        # Lines 9-20: extend every active state, in insertion order. Each
+        # union-list of T is read by one op, so it can move to T2 uncopied.
+        for p, q_mark, q_unmark, copy in ops:
+            ul = T[p]
+            if copy:
+                T2[q_unmark] = ul
+                continue
+            # merge(ul) is needed for a marking successor, or to insert into
+            # a union-list already in T2.
+            n = ul[0] if len(ul) == 1 else tecs.merge(ul)
+            if q_mark is not None:
+                n2 = tecs.extend(n, pos)
+                cur = T2.get(q_mark)
+                if cur is None:
+                    T2[q_mark] = [n2]
+                else:
+                    tecs.insert(cur, n2)
+            if q_unmark is not None:
+                cur = T2.get(q_unmark)
+                if cur is None:
+                    T2[q_unmark] = ul
+                else:
+                    tecs.insert(cur, n)
         self.T = T2
-        self._idle = self.det.idle_table(tuple(T2))
 
         # OUTPUT (lines 29-33).
         matches: List[Match] = []
-        is_final = self.det.is_final
-        # LAST/MAX filter the whole batch, so they cap after filtering.
-        filtered = self.strategy in ("last", "max")
-        limit = None if filtered else self.limit
-        for p, ul in self.T.items():
-            if is_final(p):
-                n = ul[0] if len(ul) == 1 else self.tecs.merge(ul)
-                enumerate_matches(n, pos, now, self.window, limit, matches)
+        if finals:
+            # LAST/MAX filter the whole batch, so they cap after filtering.
+            filtered = self.strategy in ("last", "max")
+            limit = None if filtered else self.limit
+            for p in finals:
+                ul = T2[p]
+                n = ul[0] if len(ul) == 1 else tecs.merge(ul)
+                enumerate_matches(n, pos, now, w, limit, matches)
                 if limit is not None and len(matches) >= limit:
                     break
-        if matches and filtered:
-            matches = _apply_strategy(self.strategy, matches)[: self.limit]
-        self.n_outputs += len(matches)
+            if matches and filtered:
+                matches = _apply_strategy(self.strategy, matches)[: self.limit]
+            self.n_outputs += len(matches)
 
         if matches and self.consume:
             # Consumption policy: forget all events read so far.
             self.reset()
-        else:
+        elif w is not None and now - w > self._horizon:
+            # Every node built here starts at or after the horizon, except a
+            # bottom, which lowered it to ``now``: below it nothing prunes.
             self._prune(now)
         return matches
-
-    # ------------------------------------------------------------------
-    def _exec_trans(
-        self,
-        q_mark: Optional[int],
-        q_unmark: Optional[int],
-        ul: List[Node],
-        n: Node,
-        j: int,
-        T2: Dict[int, List[Node]],
-    ) -> None:
-        """ExecTrans (Algorithm 1 lines 13-20) for the successors of a
-        state with union-list ``ul``; ``n`` is merge(ul)."""
-        if q_mark is not None:
-            n2 = self.tecs.extend(n, j)
-            cur = T2.get(q_mark)
-            if cur is None:
-                T2[q_mark] = [n2]
-            else:
-                self.tecs.insert(cur, n2)
-        if q_unmark is not None:
-            cur = T2.get(q_unmark)
-            if cur is None:
-                T2[q_unmark] = list(ul)
-            else:
-                self.tecs.insert(cur, n)
 
     def _prune(self, now: float) -> None:
         """Window GC: drop union-list tails with max-start out of window,
@@ -205,12 +218,12 @@ class CoreEngine(EngineBase):
         if dead:
             for p in dead:
                 del self.T[p]
-            self._idle = self.det.idle_table(tuple(self.T))
+            self._plans = self.det.plan_table(tuple(self.T))
 
     # ------------------------------------------------------------------
     def reset(self) -> None:
         self.T = {}
-        self._idle = self.det.idle_table(())
+        self._plans = self.det.plan_table(())
         self._horizon = math.inf
 
     @property

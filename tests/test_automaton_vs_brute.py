@@ -3,6 +3,8 @@
 A parametrized grid of (formula, stream, window) cases covering every CEL
 operator, plus Hypothesis property tests over random formulas and streams.
 """
+import itertools
+
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
@@ -79,6 +81,30 @@ _streams = st.lists(
 def test_property_core_matches_brute(phi, stream, window):
     expected = brute.complex_events(phi, stream, window=window)
     got = run_engine("core", compile_cel(phi), stream, window=window)
+    assert got == expected
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    phi=formulas(),
+    # (type, v, time since the previous tuple); X matches no formula.
+    events=st.lists(
+        st.tuples(st.sampled_from("ABCX"), st.integers(0, 4), st.integers(0, 2)),
+        min_size=1,
+        max_size=8,
+    ),
+    window=st.sampled_from([0, 1, 2, 4]),
+)
+def test_property_core_matches_brute_time_window(phi, events, window):
+    """Time windows over non-decreasing timestamps with ties (gap 0), no
+    consumption: this is where the horizon that gates window pruning on
+    busy and idle tuples has to stay a lower bound."""
+    stream = [{"type": t, "v": v} for t, v, _ in events]
+    ts = list(itertools.accumulate(gap for _, _, gap in events))
+    expected = brute.complex_events(phi, stream, window=window, ts=ts)
+    got = run_engine(
+        "core", compile_cel(phi), stream, window=window, ts_of=lambda t, i: float(ts[i])
+    )
     assert got == expected
 
 
