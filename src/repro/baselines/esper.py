@@ -36,8 +36,10 @@ class EsperEngine(BaselineBase):
             if cap is not None:
                 room = cap - count[0]
                 if room <= 0:
+                    self.n_shed_runs += len(pms)
                     return
                 if len(pms) > room:
+                    self.n_shed_runs += len(pms) - room
                     pms = pms[:room]
                 count[0] += len(pms)
             if mark:

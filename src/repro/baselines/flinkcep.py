@@ -52,6 +52,7 @@ class FlinkCepEngine(BaselineBase):
 
         def fire(state, start_pos, start_ts, cons):
             if cap is not None and len(new_runs) >= cap:
+                self.n_shed_runs += 1
                 return
             for (mark, dst) in self._transitions(state, mask):
                 nc = (pos, cons) if mark else cons

@@ -47,7 +47,9 @@ class BaselineBase(EngineBase):
     ):
         """``max_runs`` is a load-shedding safety cap used only by the
         benchmark harness: once that many live partial matches exist, further
-        branching is dropped. It keeps the exponential cases (e.g. Q7's
+        branching is dropped, and ``n_shed_runs`` counts the partial matches
+        dropped (SASE and Flink: runs left unextended; Esper: extensions
+        over one transition). It keeps the exponential cases (e.g. Q7's
         Kleene-over-disjunction) from exhausting memory between consumption
         resets; correctness tests always run uncapped."""
         if selection not in ("all", "next"):
@@ -59,6 +61,7 @@ class BaselineBase(EngineBase):
         self.q0 = cea.q0
         self.selection = selection
         self.max_runs = max_runs
+        self.n_shed_runs = 0
 
     def _transitions(self, state: int, mask: int) -> List[Tuple[bool, int]]:
         """Applicable ``(mark, dst)`` pairs for a state on a tuple with

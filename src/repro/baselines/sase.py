@@ -42,6 +42,7 @@ class SaseEngine(BaselineBase):
 
         def fire(state, start_pos, start_ts, positions):
             if cap is not None and len(new_runs) >= cap:
+                self.n_shed_runs += 1
                 return
             for (mark, dst) in self._transitions(state, mask):
                 np = positions + (pos,) if mark else positions

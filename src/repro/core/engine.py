@@ -27,15 +27,27 @@ Per input tuple the engine:
    next configuration's table;
 5. enumerates all complex events ending here from the union-lists of the
    plan's final states (Algorithm 2), with output-linear delay;
-6. prunes union-list tails whose max-start fell out of the WITHIN window —
-   the amortized-constant analogue of the paper's weak-reference GC. It
-   runs only once the window has passed the *horizon*, a lower bound on the
-   least tail max-start in ``T``: every node a step adds starts at or after
-   it, except a bottom, which lowers it to ``now``, so below it pruning
-   would drop nothing. This bounds the union-lists to the window, but not
-   yet the tECS reachable from them: union nodes keep right children that
-   have left the window, so the reachable DAG still grows with stream
-   length (ROADMAP item 2).
+6. collects what fell out of the WITHIN window — the amortized-constant
+   analogue of the paper's weak-reference GC, in two parts:
+
+   * ``_prune`` drops union-list tails whose max-start left the window. It
+     runs only once the window has passed the *horizon*, a lower bound on
+     the least tail max-start in ``T``: every node a step adds starts at or
+     after it, except a bottom, which lowers it to ``now``, so below it
+     pruning would drop nothing;
+   * ``TECS.cut`` replaces the out-of-window right children of the oldest
+     union nodes with a dead leaf, so the tECS reachable from ``T`` (and
+     from the queue of unions not yet cut) stays within about one window
+     of nodes, whatever the stream's length. It has a gate of its own, the
+     max-start of the oldest queued union's right child: the horizon tracks
+     only tails, and a right child can leave the window while every tail
+     stays in it.
+
+   Both run on busy tuples; an idle tuple only prunes. Neither is undone:
+   on input whose time steps back (the NULL-time fallback to ``pos`` of
+   ``CompiledQuery.ts_of`` and ``spark.batch.feed``), a tail once popped
+   and an edge once cut stay gone, though an earlier window would reach
+   them again.
 
 Cost per tuple is O(|Q|·|Δ|) plus enumeration — constant in data complexity,
 independent of stream length, window size and number of partial matches;
@@ -95,7 +107,7 @@ class CoreEngine(EngineBase):
         self.det = DetCEA(cea, strategy)
         super().__init__(self.det.index, window, consume, limit)
         self.strategy = strategy
-        self.tecs = TECS(debug=debug)
+        self.tecs = TECS(debug=debug, windowed=window is not None)
         # ordered-keys(T): Python dicts preserve insertion order.
         self.T: Dict[int, List[Node]] = {}
         # The {mask: plan} table of T's configuration (kept current wherever
@@ -104,6 +116,9 @@ class CoreEngine(EngineBase):
         # leaves the window).
         self._plans = self.det.plan_table(())
         self._horizon = math.inf
+        # No ``tecs.cut`` can cut anything while the window is at or before
+        # this max-start (see ``TECS.cut``).
+        self._cut_at = -math.inf
 
     def __getstate__(self):  # the plan tables are rebuilt on first use
         state = self.__dict__.copy()
@@ -193,10 +208,14 @@ class CoreEngine(EngineBase):
         if matches and self.consume:
             # Consumption policy: forget all events read so far.
             self.reset()
-        elif w is not None and now - w > self._horizon:
+        elif w is not None:
+            tau = now - w
             # Every node built here starts at or after the horizon, except a
             # bottom, which lowered it to ``now``: below it nothing prunes.
-            self._prune(now)
+            if tau > self._horizon:
+                self._prune(now)
+            if tau > self._cut_at:
+                self._cut_at = tecs.cut(tau)
         return matches
 
     def _prune(self, now: float) -> None:
@@ -225,6 +244,8 @@ class CoreEngine(EngineBase):
         self.T = {}
         self._plans = self.det.plan_table(())
         self._horizon = math.inf
+        self.tecs.unions.clear()
+        self._cut_at = -math.inf
 
     @property
     def n_active_states(self) -> int:

@@ -28,13 +28,20 @@ for ``j >= 1`` (decreasing max-start). A node is *safe* when it is
 non-union, or has output-depth 1 with ``odepth(right) <= 2``; all methods
 preserve safety and 3-boundedness (asserted when ``debug=True``).
 
-``TECS`` only holds counters (node/creation stats for the memory
-experiments); the DAG itself lives in the node references — dropping the
-union-lists that point at a subgraph makes it garbage, which is how the
-engine implements the paper's weak-reference window GC.
+The DAG lives in the node references: dropping the union-lists that point
+at a subgraph makes it garbage. That alone does not bound it, since a union
+keeps its right child after that child has left the window. So ``TECS``
+also queues the union nodes it builds, in creation order, and ``cut(tau)``
+replaces the out-of-window right children of the oldest ones with
+``DEAD``, a shared bottom of max-start −∞ that enumeration never enters.
+This is the structural form of the paper's weak-reference window GC
+(Section 5.4): a right child is never newer than its union, so under
+non-decreasing time every union is cut within one window of being built,
+and what stays reachable is bounded by the window, not by the stream.
 """
 from __future__ import annotations
 
+from collections import deque
 from typing import List, Union as PyUnion
 
 
@@ -66,6 +73,9 @@ class Union:
 
 Node = PyUnion[Bottom, Output, Union]
 
+# What ``TECS.cut`` puts in place of a right child that left the window.
+DEAD = Bottom(-1, -float("inf"))
+
 
 def odepth(n: Node) -> int:
     """Left output-depth: union nodes traversed before a non-union node."""
@@ -83,11 +93,17 @@ def is_safe(n: Node) -> bool:
 
 
 class TECS:
-    """Factory/statistics wrapper around the node constructors."""
+    """Node constructors, creation counter and window GC.
 
-    def __init__(self, debug: bool = False):
+    ``windowed`` says whether anything will call ``cut``; without a window
+    no union is queued, as none would ever be cut.
+    """
+
+    def __init__(self, debug: bool = False, windowed: bool = False):
         self.debug = debug
         self.n_nodes = 0  # total nodes ever created (Section 6 memory proxy)
+        # Union nodes not yet cut, oldest first.
+        self.unions: deque = deque() if windowed else deque(maxlen=0)
 
     # -- node constructors -------------------------------------------------
     def bottom(self, pos: int, ts: float) -> Bottom:
@@ -102,7 +118,24 @@ class TECS:
         self.n_nodes += 1
         if self.debug:
             assert left.max_start >= right.max_start, "time-order violated"
-        return Union(left, right)
+        u = Union(left, right)
+        self.unions.append(u)
+        return u
+
+    def cut(self, tau: float) -> float:
+        """Window GC: replace with ``DEAD`` the right child of every queued
+        union, oldest first, until one whose right child starts at or after
+        ``tau``; return that child's max-start (−∞ when none is left), before
+        which no later cut can cut anything.
+
+        ``tau`` must not decrease between calls: what is cut stays cut."""
+        unions = self.unions
+        while unions:
+            r = unions[0].right.max_start
+            if r >= tau:
+                return r
+            unions.popleft().right = DEAD
+        return -float("inf")
 
     def union(self, n1: Node, n2: Node) -> Node:
         """Figure-5 gadgets; requires safe inputs with equal max-start."""

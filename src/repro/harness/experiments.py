@@ -75,19 +75,26 @@ def _query_rows(
     table: str, qname: str, text: str, events, systems, budget_s
 ) -> List[Dict[str, Any]]:
     """One row per system for query ``text``; SASE's cell is skipped when
-    the query needs disjunction."""
+    the query needs disjunction. ``shed_runs`` counts the partial matches a
+    baseline's ``MAX_RUNS`` cap dropped: where it is not 0, the row's
+    outputs and throughput are those of a truncated match set."""
     q = parse(text)
     cq = compile_query(q)
     rows = []
     for system in systems:
         row = {
             "table": table, "query": qname, "system": system,
-            "throughput_eps": float("nan"), "outputs": 0,
+            "throughput_eps": float("nan"), "outputs": 0, "shed_runs": 0,
             "note": "no disjunction support",
         }
         if system != "sase" or sase.supports(q.formula()):
-            st = _cell(system, cq, events, budget_s)
-            row.update(throughput_eps=st.throughput, outputs=st.outputs, note="")
+            eng = _engine(system, cq)
+            st = throughput_run(eng, events, budget_s=budget_s, ts_of=cq.ts_of)
+            parts = eng.engines.values() if cq.partition_by else [eng]
+            shed = sum(getattr(e, "n_shed_runs", 0) for e in parts)
+            row.update(
+                throughput_eps=st.throughput, outputs=st.outputs, shed_runs=shed, note=""
+            )
         rows.append(row)
     return rows
 

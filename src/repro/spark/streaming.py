@@ -4,10 +4,12 @@ Implements automaton-based partial-match maintenance as a
 ``applyInPandasWithState`` operator (PySpark's flatMapGroupsWithState):
 
 * the stream is grouped by the PARTITION BY key (or a constant key);
-* per-key state holds the pickled engine — its union-lists are pruned to
-  the WITHIN window (Section 5.4's weak-reference GC analogue), but the tECS
-  reachable from them is not yet bounded, so the pickle still grows with
-  the stream length per key (ROADMAP item 2);
+* per-key state holds the pickled engine. Its window GC (Section 5.4's
+  weak-reference GC analogue: pruned union-lists and cut union edges) keeps
+  the tECS it reaches, and so the pickle, bounded by the WITHIN window, not
+  by the stream's length per key: about 4–7 kB for ``A1; A2+; A3 WITHIN
+  100 events`` at any length. The pickle still carries the CEA and the
+  ``DetCEA`` interning along with the run state;
 * each micro-batch feeds its rows to the engine in arrival order and emits
   the recognized complex events in append mode.
 
@@ -41,7 +43,9 @@ def make_stateful_func(query: CompiledQuery, engine: str = "core", limit=None):
         pdfs: Iterator[pd.DataFrame],
         state: GroupState,
     ) -> Iterator[pd.DataFrame]:
-        # Deep tECS DAGs are recursive structures; give pickle headroom.
+        # pickle recurses along tECS paths, whose depth the window bounds,
+        # not the stream; a wide window or a query without WITHIN still
+        # needs the headroom until the state format changes (ROADMAP item 6).
         sys.setrecursionlimit(max(sys.getrecursionlimit(), 100_000))
         if state.exists:
             (blob,) = state.get

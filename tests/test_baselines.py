@@ -71,9 +71,14 @@ def test_selection_next_takes_marking_branch(Engine):
 @pytest.mark.parametrize("Engine", ENGINES)
 def test_max_runs_cap_sheds_load(Engine):
     capped = Engine(SEQ3, window=100, max_runs=10)
+    uncapped = Engine(SEQ3, window=100)
     for i, t in enumerate(stream_of(*(["A", "B"] * 20))):
         capped.process(t, pos=i)
+        uncapped.process(t, pos=i)
     assert capped.n_partial_matches <= 3 * 10 + 5  # cap per event (+q0 starts)
+    # The cap says what it dropped; without it nothing is dropped.
+    assert capped.n_shed_runs > 0
+    assert uncapped.n_shed_runs == 0
 
 
 @pytest.mark.parametrize("Engine", ENGINES)

@@ -140,6 +140,19 @@ def test_table5_stock_rows():
     assert not math.isnan(sase_q1["throughput_eps"])
 
 
+def test_table5_rows_report_shed_runs(monkeypatch):
+    """Rows of baselines that hit the ``MAX_RUNS`` cap say how many partial
+    matches it dropped; CORE's and uncapped rows say 0."""
+    monkeypatch.setattr(experiments, "MAX_RUNS", 10)
+    rows = experiments.table5_stock(queries=("Q3", "Q7"), **TINY)
+    shed = {(r["query"], r["system"]): r["shed_runs"] for r in rows}
+    assert shed[("Q7", "core")] == shed[("Q3", "core")] == 0
+    assert shed[("Q7", "esper")] > 0 and shed[("Q7", "flink")] > 0
+    monkeypatch.setattr(experiments, "MAX_RUNS", None)
+    rows = experiments.table5_stock(queries=("Q7",), **TINY)
+    assert all(r["shed_runs"] == 0 for r in rows)
+
+
 def test_table6_spark_smoke(spark):
     rows = experiments.table6_spark(spark, n_events=3000, queries=("Q3",))
     (row,) = rows

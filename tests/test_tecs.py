@@ -1,7 +1,8 @@
 """Unit tests for the tECS data structure (paper Section 5.1-5.2)."""
 import pytest
 
-from repro.core.tecs import TECS, Bottom, Output, Union, is_safe, odepth
+from repro.core.enumerate import enumerate_matches
+from repro.core.tecs import DEAD, TECS, Bottom, Output, Union, is_safe, odepth
 
 
 @pytest.fixture()
@@ -133,3 +134,25 @@ def test_three_boundedness_under_mixed_ops(tecs):
         u = tecs.union(n1, n2)
         pool[pool.index(n1)] = u
         assert odepth(u) <= 3 and is_safe(u)
+
+
+def test_cut_replaces_out_of_window_right_children_oldest_first():
+    tecs = TECS(debug=True, windowed=True)
+    old = tecs.union(tecs.bottom(1, 1.0), tecs.bottom(1, 1.0))
+    keep = tecs.merge([tecs.bottom(5, 5.0), tecs.bottom(4, 4.0)])
+    late = tecs.merge([tecs.bottom(6, 6.0), tecs.bottom(2, 2.0)])
+    # ``keep``'s right child is inside the window, so it blocks ``late``.
+    assert tecs.cut(3.0) == 4.0
+    assert old.right is DEAD and keep.right.max_start == 4.0
+    assert late.right.max_start == 2.0 and list(tecs.unions) == [keep, late]
+    assert tecs.cut(4.5) == -float("inf")
+    assert keep.right is late.right is DEAD and not tecs.unions
+    # Enumeration never enters a cut edge: it skips the dead leaf as it
+    # skipped the subtree that left the window.
+    assert enumerate_matches(keep, 7, 7.0, 2.5) == [(5, 7, ())]
+
+
+def test_unwindowed_tecs_queues_no_unions():
+    tecs = TECS()
+    tecs.union(tecs.bottom(1, 1.0), tecs.bottom(1, 1.0))
+    assert not tecs.unions

@@ -5,16 +5,19 @@ configuration (the ordered det-states of ``T``) has for the tuple's mask. A
 plan is compiled once per (configuration, mask) with 1 + |T| ``DetCEA.step``
 calls; after that the pair costs no call at all, idle or busy. So the calls
 per pass are bounded by the reachable (configuration, mask) pairs, not by
-the stream's length. The counts are deterministic for a seed.
+the stream's length. The tECS nodes a tuple creates are bounded by the
+query too: a constant per CEA state, whatever the stream's length. The
+counts are deterministic for a seed.
 """
 import pytest
 
 from repro.cea import cel
 from repro.cea.automaton import compile_cel
-from repro.cea.ceql import compile_query
+from repro.cea.ceql import compile_query, parse
 from repro.cea.determinize import DetCEA
 from repro.core.engine import CoreEngine
 from repro.engines import make_engine
+from repro.harness.experiments import T4_PATTERNS, seq_pattern, synthetic_query
 from repro.harness.stock_queries import STOCK_QUERIES
 from repro.streams.generators import random_stream, stock_stream, typed_stream
 
@@ -96,3 +99,50 @@ def test_det_step_calls_do_not_grow_with_stream_length(monkeypatch, query, strea
     (steps_short, plans_short), (steps_long, plans_long) = counts
     assert plans_long <= plans_short + MAX_LATE_PLANS
     assert steps_long <= steps_short + MAX_LATE_CALLS
+
+
+def _table1_stream(n_seq):
+    return lambda n: random_stream(n, n_seq=n_seq, seed=0)
+
+
+def _table2_stream(n):
+    return random_stream(n, n_seq=3, hide_last=True, seed=0)
+
+
+def _table4_stream(pattern):
+    types = sorted(parse(synthetic_query(pattern, 100)).formula().event_types())
+    return lambda n: typed_stream(n, types + [f"B{i}" for i in range(1, 7)], seed=0)
+
+
+# tECS nodes created per event and CEA state; the Table 1, 2 and 4
+# workloads below create 0.09 to 0.19 at 10k and at 100k events.
+MAX_NODES_PER_EVENT_PER_STATE = 0.25
+# Per-event rates may wander this much between the two stream lengths.
+NODE_RATE_SLACK = 0.05
+
+
+@pytest.mark.parametrize(
+    "text, stream_of",
+    [
+        (synthetic_query(seq_pattern(3), 100), _table1_stream(3)),
+        (synthetic_query(seq_pattern(9), 100), _table1_stream(9)),
+        (synthetic_query(seq_pattern(3), 50), _table2_stream),
+        (synthetic_query(seq_pattern(3), 200), _table2_stream),
+        (synthetic_query(T4_PATTERNS["K3"], 100), _table4_stream(T4_PATTERNS["K3"])),
+        (synthetic_query(T4_PATTERNS["D5"], 100), _table4_stream(T4_PATTERNS["D5"])),
+    ],
+    ids=["t1-n3", "t1-n9", "t2-T50", "t2-T200", "t4-K3", "t4-D5"],
+)
+def test_tecs_nodes_per_event_do_not_grow_with_stream_length(text, stream_of):
+    """Nodes created per event stay within c·|Q| and do not grow from 10k
+    to 100k events (ROADMAP item 5: counters, not clocks)."""
+    cq = compile_query(text)
+    rates = []
+    for n in (10_000, 100_000):
+        core = CoreEngine(cq.cea, cq.window, consume=cq.consume, limit=10)
+        for i, e in enumerate(stream_of(n)):
+            core.process(e, cq.ts_of(e, i), i)
+        rates.append(core.n_nodes_created / n)
+    short, long = rates
+    assert max(short, long) <= MAX_NODES_PER_EVENT_PER_STATE * cq.cea.n_states
+    assert long <= short * (1 + NODE_RATE_SLACK)
