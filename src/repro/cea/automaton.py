@@ -27,6 +27,7 @@ from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Tuple
 
 from . import cel
+from .determinize import DetCEA
 from .predicates import Atom, Guard, PredicateIndex, TRUE, type_atom
 
 # VCEA transition: (src, guard, labels, dst)
@@ -67,8 +68,16 @@ class CEA:
         self.adj = {}
         for src, g, mark, dst in self.transitions:
             self.adj.setdefault(src, []).append((g, mark, dst))
+        self._dets: Dict[str, DetCEA] = {}
 
-    def __getstate__(self):  # index/adj are derived; rebuild on unpickle
+    def det(self, strategy: str = "all") -> DetCEA:
+        """The ``DetCEA`` of this CEA under ``strategy``, built on first use
+        and shared by every engine built from the CEA."""
+        if strategy not in self._dets:
+            self._dets[strategy] = DetCEA(self, strategy)
+        return self._dets[strategy]
+
+    def __getstate__(self):  # index/adj/det are derived; rebuilt on unpickle
         return (self.n_states, self.transitions, self.q0, self.finals)
 
     def __setstate__(self, state):

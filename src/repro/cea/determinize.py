@@ -20,8 +20,9 @@ exactly as CORE does — we determinize lazily while the stream is processed:
   table; or ``False`` when the tuple changes nothing. The engine then pays
   one dict lookup per tuple (see :meth:`DetCEA.plan`).
 
-The transition cache and the plan tables are rebuilt lazily, so a pickled
-``DetCEA`` holds only the interned det-states.
+These caches belong to the query, not to a partition (Section 5.4): every
+engine built from one CEA shares its ``DetCEA`` (``CEA.det``). They are
+rebuilt lazily, so a pickled ``DetCEA`` holds only the interned det-states.
 
 The NEXT selection strategy (skip-till-next-match) is implemented here at the
 branching level: when a marking successor exists, the non-marking branch is
@@ -32,9 +33,10 @@ DESIGN.md for why this preserves the measured behaviour).
 """
 from __future__ import annotations
 
-from typing import Any, Dict, FrozenSet, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Dict, FrozenSet, List, Optional, Tuple
 
-from .automaton import CEA
+if TYPE_CHECKING:
+    from .automaton import CEA
 
 # A tuple's predicate bit-vector as an int mask (``PredicateIndex.mask``).
 BitVec = int
@@ -44,7 +46,7 @@ Plan = Any
 
 
 class DetCEA:
-    """Lazily determinized view of a CEA, shared by Algorithm 1."""
+    """Lazily determinized view of a CEA, shared by its engines (``CEA.det``)."""
 
     def __init__(self, cea: CEA, strategy: str = "all"):
         if strategy not in ("all", "next", "last", "max"):

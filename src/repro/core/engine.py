@@ -7,7 +7,8 @@ Per input tuple the engine:
    below;
 2. looks the mask up in the ``{mask: plan}`` table of its current
    configuration, the ordered det-states of ``T`` (``DetCEA.plan_table``).
-   A *step plan* holds every decision of Algorithm 1 that depends only on
+   The tables are the CEA's, shared by all its engines (``CEA.det``). A
+   *step plan* holds every decision of Algorithm 1 that depends only on
    the configuration and the mask; ``DetCEA.plan`` compiles it from
    ``DetCEA.step`` on the first miss, so a pair that recurs costs no
    ``DetCEA.step`` call. An *idle* tuple (plan ``False``) starts no run,
@@ -75,7 +76,6 @@ import math
 from typing import Dict, List, Optional
 
 from ..cea.automaton import CEA
-from ..cea.determinize import DetCEA
 from .base import EngineBase
 from .enumerate import Match, enumerate_matches
 from .tecs import Node, TECS
@@ -87,7 +87,7 @@ class CoreEngine(EngineBase):
     Parameters
     ----------
     cea:
-        compiled (non-deterministic) CEA; determinized on the fly.
+        compiled (non-deterministic) CEA; determinized by ``CEA.det``.
     window, consume, limit:
         see ``EngineBase``.
     strategy:
@@ -104,9 +104,8 @@ class CoreEngine(EngineBase):
         strategy: str = "all",
         debug: bool = False,
     ):
-        self.det = DetCEA(cea, strategy)
+        self.det = cea.det(strategy)
         super().__init__(self.det.index, window, consume, limit)
-        self.strategy = strategy
         self.tecs = TECS(debug=debug, windowed=window is not None)
         # ordered-keys(T): Python dicts preserve insertion order.
         self.T: Dict[int, List[Node]] = {}
@@ -193,7 +192,7 @@ class CoreEngine(EngineBase):
         matches: List[Match] = []
         if finals:
             # LAST/MAX filter the whole batch, so they cap after filtering.
-            filtered = self.strategy in ("last", "max")
+            filtered = self.det.strategy in ("last", "max")
             limit = None if filtered else self.limit
             for p in finals:
                 ul = T2[p]
@@ -202,7 +201,7 @@ class CoreEngine(EngineBase):
                 if limit is not None and len(matches) >= limit:
                     break
             if matches and filtered:
-                matches = _apply_strategy(self.strategy, matches)[: self.limit]
+                matches = _apply_strategy(self.det.strategy, matches)[: self.limit]
             self.n_outputs += len(matches)
 
         if matches and self.consume:

@@ -143,7 +143,8 @@ def table1_sequence(
     budget = default_budget() if budget_s is None else budget_s
     rows = []
     for n in ns:
-        cq = compile_query(synthetic_query(seq_pattern(n), window))
+        text = synthetic_query(seq_pattern(n), window)
+        cq = compile_query(text)
         events = random_stream(n_events, n_seq=n, seed=seed)
         for system in systems:
             update_eps = enum_ops = float("nan")
@@ -154,8 +155,11 @@ def table1_sequence(
                     enum_ops = full.outputs / enum_s
             else:
                 full = _cell(system, cq, events, budget)
+            # A fresh query: ``cq``'s DetCEA already holds the plans the
+            # cell above compiled, which the memory peak is to count.
+            fresh = compile_query(text)
             mem = memory_run(
-                lambda: _engine(system, cq), events,
+                lambda: _engine(system, fresh), events,
                 ts_of=cq.ts_of, budget_s=budget / 2,
             )
             rows.append(

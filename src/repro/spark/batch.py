@@ -21,7 +21,7 @@ from typing import Any, Iterable, List, Optional
 
 import numpy as np
 import pandas as pd
-from pyspark.sql import DataFrame, SparkSession
+from pyspark.sql import DataFrame, GroupedData, SparkSession
 from pyspark.sql import functions as F
 
 from ..cea.ceql import CompiledQuery
@@ -33,7 +33,7 @@ MATCH_SCHEMA = "partition string, start long, end long, data string"
 
 def feed(engine: Any, frame: pd.DataFrame, query: CompiledQuery) -> List[Match]:
     """Run ``engine`` (one partition's engine) over ``frame``'s rows in
-    order; return the complex events found.
+    ``pos`` order; return the complex events found.
 
     The Spark paths' one way of feeding rows: the predicate masks of the
     whole frame are computed column by column (``PredicateIndex.masks``), and
@@ -41,6 +41,7 @@ def feed(engine: Any, frame: pd.DataFrame, query: CompiledQuery) -> List[Match]:
     to ``pos``, as in ``CompiledQuery.ts_of``. Each row is then one
     ``engine.step``.
     """
+    frame = frame.sort_values("pos")
     pos = frame["pos"].to_numpy(np.int64)
     now = pos.astype(float)
     if query.time_attr is not None and query.time_attr in frame.columns:
@@ -52,6 +53,24 @@ def feed(engine: Any, frame: pd.DataFrame, query: CompiledQuery) -> List[Match]:
     for m, j, t in zip(engine.index.masks(frame), pos.tolist(), now.tolist()):
         out += step(m, j, t)
     return out
+
+
+def group_by_key(sdf: DataFrame, query: CompiledQuery) -> GroupedData:
+    """``sdf`` grouped by ``query``'s PARTITION BY attributes, without the
+    rows that are NULL in one; by a constant ``_pk`` without PARTITION BY."""
+    pcols = list(query.partition_by)
+    if pcols:
+        return sdf.dropna(subset=pcols).groupBy(*pcols)
+    return sdf.withColumn("_pk", F.lit(0)).groupBy("_pk")
+
+
+def group_engine(query: CompiledQuery, engine: str, limit: Optional[int]) -> Any:
+    """A new ``engine`` for one group of ``query``; the CORE engines of all
+    groups share the query's ``DetCEA`` (``CEA.det``)."""
+    return make_engine(
+        engine, query.cea, window=query.window, consume=query.consume,
+        limit=limit, strategy=query.strategy,
+    )
 
 
 def match_frame(pkey: str, matches: Iterable[Match]) -> pd.DataFrame:
@@ -69,21 +88,11 @@ def run_group(
     limit: Optional[int],
     partition_cols: Iterable[str],
 ) -> pd.DataFrame:
-    """Run one engine over one partition's events (sorted here by ``pos``) —
-    the per-group body of ``applyInPandas``, also reused by tests for
-    driver-side runs."""
-    pdf = pdf.sort_values("pos")
+    """Run one engine over one partition's events — the per-group body of
+    ``applyInPandas``, also reused by tests for driver-side runs."""
     pcols = list(partition_cols)
     pkey = ",".join(str(pdf.iloc[0][c]) for c in pcols) if pcols else ""
-    eng = make_engine(
-        engine,
-        query.cea,
-        window=query.window,
-        consume=query.consume,
-        limit=limit,
-        strategy=query.strategy,
-    )
-    return match_frame(pkey, feed(eng, pdf, query))
+    return match_frame(pkey, feed(group_engine(query, engine, limit), pdf, query))
 
 
 def run_batch(
@@ -98,16 +107,8 @@ def run_batch(
     sdf = (
         spark.createDataFrame(events) if isinstance(events, pd.DataFrame) else events
     )
-    pcols = list(query.partition_by)
-    if pcols:
-        sdf = sdf.dropna(subset=pcols)
-        grouped = sdf.groupBy(*pcols)
-    else:
-        grouped = sdf.withColumn("_pk", F.lit(0)).groupBy("_pk")
 
     def fn(pdf: pd.DataFrame) -> pd.DataFrame:
-        if not pcols:
-            pdf = pdf.drop(columns=["_pk"])
-        return run_group(pdf, query, engine, limit, pcols)
+        return run_group(pdf, query, engine, limit, query.partition_by)
 
-    return grouped.applyInPandas(fn, MATCH_SCHEMA)
+    return group_by_key(sdf, query).applyInPandas(fn, MATCH_SCHEMA)

@@ -29,8 +29,7 @@ from pyspark.sql import DataFrame
 from pyspark.sql.streaming.state import GroupState, GroupStateTimeout
 
 from ..cea.ceql import CompiledQuery
-from ..engines import make_engine
-from .batch import MATCH_SCHEMA, feed, match_frame
+from .batch import MATCH_SCHEMA, feed, group_by_key, group_engine, match_frame
 
 STATE_SCHEMA = "blob binary"
 
@@ -51,18 +50,11 @@ def make_stateful_func(query: CompiledQuery, engine: str = "core", limit=None):
             (blob,) = state.get
             eng = pickle.loads(bytes(blob))
         else:
-            eng = make_engine(
-                engine,
-                query.cea,
-                window=query.window,
-                consume=query.consume,
-                limit=limit,
-                strategy=query.strategy,
-            )
+            eng = group_engine(query, engine, limit)
         pkey = ",".join(str(k) for k in key) if query.partition_by else ""
-        matches = []
-        for pdf in pdfs:
-            matches += feed(eng, pdf.sort_values("pos"), query)
+        # A key's micro-batch may come in several Arrow chunks, not in pos
+        # order between them: feed sorts them as one frame.
+        matches = feed(eng, pd.concat(pdfs), query)
         state.update((pickle.dumps(eng),))
         yield match_frame(pkey, matches)
 
@@ -82,15 +74,7 @@ def streaming_matches(
     the query's attributes. Returns the streaming match DataFrame (append
     mode) with :data:`MATCH_SCHEMA`.
     """
-    from pyspark.sql import functions as F
-
-    pcols = list(query.partition_by)
-    if pcols:
-        sdf = events_stream.dropna(subset=pcols)
-        grouped = sdf.groupBy(*pcols)
-    else:
-        grouped = events_stream.withColumn("_pk", F.lit(0)).groupBy("_pk")
-    return grouped.applyInPandasWithState(
+    return group_by_key(events_stream, query).applyInPandasWithState(
         make_stateful_func(query, engine, limit),
         MATCH_SCHEMA,
         STATE_SCHEMA,

@@ -5,7 +5,11 @@ import pytest
 
 from repro.cea import cel
 from repro.cea.automaton import compile_cel
-from repro.engines import make_partitioned
+from repro.cea.ceql import compile_query
+from repro.core import PartitionedEngine
+from repro.engines import make_engine, make_partitioned
+from repro.harness.stock_queries import STOCK_QUERIES
+from repro.streams.generators import stock_stream
 
 A, B = cel.EventType("A"), cel.EventType("B")
 SEQ = compile_cel(cel.Seq(A, B))
@@ -132,3 +136,26 @@ def test_reset_clears_partitions():
     eng.process({"type": "A", "name": "x"}, pos=0)
     eng.reset()
     assert eng.n_partitions == 0
+
+
+@pytest.mark.parametrize("qname", ["Q3", "Q6"])
+def test_partitions_share_one_detcea(qname):
+    """The determinization cache belongs to the query (Section 5.4): every
+    partition's CORE engine runs on the CEA's one ``DetCEA``, and outputs
+    equal those of engines that each compile the query anew."""
+    text = STOCK_QUERIES[qname]
+    cq = compile_query(text)
+    kw = dict(window=cq.window, consume=cq.consume, strategy=cq.strategy)
+    shared = make_partitioned("core", cq.cea, cq.partition_by, **kw)
+    fresh = PartitionedEngine(
+        lambda: make_engine("core", compile_query(text).cea, **kw), cq.partition_by
+    )
+    for i, e in enumerate(stock_stream(20_000, seed=0)):
+        ts = cq.ts_of(e, i)
+        assert shared.process(e, ts, i) == fresh.process(e, ts, i)
+    assert shared.n_partitions == fresh.n_partitions > 1
+    assert shared.n_outputs == fresh.n_outputs > 0
+    dets = {id(eng.det) for eng in shared.engines.values()}
+    assert len(dets) == 1
+    assert dets == {id(cq.cea.det(cq.strategy))}
+    assert len({id(eng.det) for eng in fresh.engines.values()}) == fresh.n_partitions

@@ -114,3 +114,32 @@ def test_streaming_partition_by(spark, tmp_path):
         .itertuples(index=False, name=None)
     }
     assert got == expected and got
+
+
+def test_key_split_over_arrow_chunks_is_fed_in_pos_order(spark, tmp_path):
+    """A key's micro-batch larger than
+    ``spark.sql.execution.arrow.maxRecordsPerBatch`` reaches the stateful
+    function in several chunks, which need not be in ``pos`` order between
+    them (here the later positions are in the first file): the engine must
+    see the whole micro-batch in ``pos`` order."""
+    events = typed_stream(200, ["A", "B", "C", "X"], seed=13)
+    cq = compile_query("SELECT * FROM S WHERE A; B; C WITHIN 15 events")
+    indir = tmp_path / "in"
+    _write_events(str(indir / "part-0.json"), events[100:], 100)
+    _write_events(str(indir / "part-1.json"), events[:100], 0)
+    expected = {
+        tuple(r)
+        for r in run_batch(spark, to_pandas(events, columns=["type", "name"]), cq)
+        .toPandas()[["partition", "start", "end", "data"]]
+        .itertuples(index=False, name=None)
+    }
+    key = "spark.sql.execution.arrow.maxRecordsPerBatch"
+    old = spark.conf.get(key)
+    spark.conf.set(key, "16")
+    try:
+        got = _run_stream(
+            spark, str(indir), str(tmp_path / "ckpt"), cq, str(tmp_path / "out")
+        )
+    finally:
+        spark.conf.set(key, old)
+    assert got == expected and got

@@ -16,7 +16,7 @@ from repro.cea.automaton import compile_cel
 from repro.cea.ceql import compile_query, parse
 from repro.cea.determinize import DetCEA
 from repro.core.engine import CoreEngine
-from repro.engines import make_engine
+from repro.engines import make_engine, make_partitioned
 from repro.harness.experiments import T4_PATTERNS, seq_pattern, synthetic_query
 from repro.harness.stock_queries import STOCK_QUERIES
 from repro.streams.generators import random_stream, stock_stream, typed_stream
@@ -99,6 +99,28 @@ def test_det_step_calls_do_not_grow_with_stream_length(monkeypatch, query, strea
     (steps_short, plans_short), (steps_long, plans_long) = counts
     assert plans_long <= plans_short + MAX_LATE_PLANS
     assert steps_long <= steps_short + MAX_LATE_CALLS
+
+
+# Partitioned Q3 and Q6 over 50k stock events make 210 and 250 calls with
+# one DetCEA for all ten partitions; 1,744 and 2,044 with one per partition.
+MAX_PARTITIONED_CALLS = 300
+
+
+@pytest.mark.parametrize("qname", ["Q3", "Q6"])
+def test_partitions_compile_plans_once(monkeypatch, qname):
+    """Partitions share the query's plans: a (configuration, mask) pair
+    one partition compiled costs the others no ``DetCEA.step`` call."""
+    cq = compile_query(STOCK_QUERIES[qname])
+    eng = make_partitioned(
+        "core", cq.cea, cq.partition_by,
+        window=cq.window, consume=cq.consume, strategy=cq.strategy,
+    )
+    calls = _counting(monkeypatch, "step")
+    for i, e in enumerate(stock_stream(50_000, seed=0)):
+        eng.process(e, cq.ts_of(e, i), i)
+    monkeypatch.undo()
+    assert eng.n_partitions > 1 and eng.n_outputs > 0
+    assert calls[0] <= MAX_PARTITIONED_CALLS
 
 
 def _table1_stream(n_seq):
