@@ -62,7 +62,7 @@ class CEA:
 
     def __post_init__(self) -> None:
         atoms: List[Atom] = []
-        for _, g, _, _ in self.transitions:
+        for g in dict.fromkeys(g for _, g, _, _ in self.transitions):
             atoms.extend(sorted(g, key=repr))
         self.index = PredicateIndex(atoms)
         self.adj = {}

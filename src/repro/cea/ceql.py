@@ -43,6 +43,7 @@ _TOKEN = re.compile(
       | (?P<op><=|>=|==|!=|<>|<|>|=)
       | (?P<punct>[()\[\];,+*])
       | (?P<word>[A-Za-z_][A-Za-z_0-9]*)
+      | (?P<bad>\S)
     )""",
     re.VERBOSE,
 )
@@ -66,29 +67,19 @@ class CEQLSyntaxError(ValueError):
 
 def _tokenize(text: str) -> List[Tuple[str, Any]]:
     toks: List[Tuple[str, Any]] = []
-    i = 0
-    while i < len(text):
-        m = _TOKEN.match(text, i)
-        if not m:
-            if text[i:].strip() == "":
-                break
-            raise CEQLSyntaxError(f"cannot tokenize at: {text[i:i+30]!r}")
-        i = m.end()
-        if m.lastgroup == "num":
-            v = m.group("num")
-            toks.append(("num", float(v) if "." in v else int(v)))
-        elif m.lastgroup == "str":
-            toks.append(("str", m.group("str")[1:-1]))
-        elif m.lastgroup == "op":
-            toks.append(("op", m.group("op")))
-        elif m.lastgroup == "punct":
-            toks.append(("punct", m.group("punct")))
-        else:
-            w = m.group("word")
-            if w.upper() in _KEYWORDS:
-                toks.append(("kw", w.upper()))
-            else:
-                toks.append(("word", w))
+    for m in _TOKEN.finditer(text):
+        kind = m.lastgroup
+        v = m[kind]
+        if kind == "word":
+            if v.upper() in _KEYWORDS:
+                kind, v = "kw", v.upper()
+        elif kind == "num":
+            v = float(v) if "." in v else int(v)
+        elif kind == "str":
+            v = v[1:-1]
+        elif kind == "bad":
+            raise CEQLSyntaxError(f"cannot tokenize at: {text[m.start(kind):][:30]!r}")
+        toks.append((kind, v))
     toks.append(("eof", None))
     return toks
 

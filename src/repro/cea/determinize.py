@@ -51,7 +51,11 @@ class DetCEA:
     def __init__(self, cea: CEA, strategy: str = "all"):
         if strategy not in ("all", "next", "last", "max"):
             raise ValueError(f"unknown selection strategy {strategy!r}")
-        self.cea = cea
+        # What determinization reads of the CEA. Not the CEA itself: it
+        # holds this DetCEA (``CEA.det``), and a cycle would leave a dropped
+        # query to the cyclic collector.
+        self.adj = cea.adj
+        self.finals = cea.finals
         self.index = cea.index
         self.strategy = strategy
         self._sets: List[FrozenSet[int]] = []
@@ -83,7 +87,7 @@ class DetCEA:
             i = len(self._sets)
             self._ids[s] = i
             self._sets.append(s)
-            self._finals.append(bool(s & self.cea.finals))
+            self._finals.append(bool(s & self.finals))
         return i
 
     def is_final(self, det_id: int) -> bool:
@@ -103,7 +107,7 @@ class DetCEA:
         if hit is not None:
             return hit
         sat = self.index.satisfies
-        adj = self.cea.adj
+        adj = self.adj
         mark_set: set = set()
         unmark_set: set = set()
         for p in self._sets[det_id]:

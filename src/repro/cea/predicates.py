@@ -14,15 +14,22 @@ keyed on ``(state, bit-vector)``. The bit-vector is a Python ``int`` mask
 (bit ``i`` set iff ``P_i`` holds), so a guard test is one ``&`` and the cache
 key is a small int. ``masks(frame)`` computes the masks of a whole pandas
 batch column by column, for the Spark paths.
+
+Nothing here imports numpy or pandas at module level: compiling a query or
+running an engine never loads them. ``masks`` imports both in its own body,
+once per frame, and only callers that already hold a frame reach it.
 """
 from __future__ import annotations
 
 import operator
+import sys
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, FrozenSet, Iterable, List, Mapping, Tuple
+from typing import (
+    TYPE_CHECKING, Any, Callable, Dict, FrozenSet, Iterable, List, Mapping, Tuple,
+)
 
-import numpy as np
-import pandas as pd
+if TYPE_CHECKING:
+    import pandas as pd
 
 _OPS = {
     "==": operator.eq,
@@ -35,10 +42,18 @@ _OPS = {
 
 
 def is_null(v: Any) -> bool:
-    """Whether a scalar ``v`` is NULL: None, a NaN of any float type,
-    ``pd.NA`` or ``NaT`` (what ``pd.isna`` and Spark's ``dropna`` treat as
-    missing), tested without a pandas call."""
-    return v is None or v is pd.NA or v != v
+    """Whether a scalar ``v`` is NULL: None, a NaN of any float type or of
+    ``Decimal``, ``pd.NA`` or ``NaT`` (what ``pd.isna`` and Spark's
+    ``dropna`` treat as missing), tested without pandas."""
+    if v is None:
+        return True
+    try:
+        return bool(v != v)
+    except TypeError:  # pd.NA: ``NA != NA`` is NA, which has no truth value
+        pandas = sys.modules.get("pandas")  # no pd.NA exists unless it is loaded
+        if pandas is not None and v is pandas.NA:
+            return True
+        raise
 
 
 @dataclass(frozen=True)
@@ -187,6 +202,9 @@ class PredicateIndex:
         distinct value, so equality is Python ``==`` and an incomparable
         value sets no bit. Past 62 atoms the masks are Python ints, not int64.
         """
+        import numpy as np
+        import pandas as pd
+
         dtype = object if len(self._atoms) > 62 else np.int64
         out = np.zeros(len(frame), dtype)
         for attr in self._attrs:

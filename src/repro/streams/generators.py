@@ -14,14 +14,17 @@
 
 All generators are deterministic in ``seed``. Events are plain dicts (the
 engines' native format); ``to_pandas`` adds the global ``pos`` column and
-converts to a DataFrame for the Spark layer and the DuckDB oracle.
+converts to a DataFrame for the Spark layer and the DuckDB oracle. Only
+``to_pandas`` loads pandas, so generating a stream does not.
 """
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence
 
 import numpy as np
-import pandas as pd
+
+if TYPE_CHECKING:
+    import pandas as pd
 
 MAJOR_NAMES = ("MSFT", "ORCL", "CSCO", "AMAT", "INTC", "AMZN", "IBM", "DELL")
 # Base prices chosen so the Q2/Q5 filter thresholds (msft>26, orcl>11.14,
@@ -108,6 +111,8 @@ def to_pandas(
     ``columns`` fixes the attribute set (missing values become None/NaN);
     by default the union of keys across events is used.
     """
+    import pandas as pd
+
     if columns is None:
         seen: Dict[str, None] = {}
         for e in events:

@@ -1,5 +1,7 @@
 """Behavioural tests for CORE's Algorithm-1 engine."""
+import gc
 import pickle
+import weakref
 
 import hypothesis.strategies as st
 import pytest
@@ -347,3 +349,20 @@ def test_pickled_engine_holds_no_caches():
         ts = offset + cq.ts_of(e, i)
         assert restored.process(e, ts, i) == eng.process(e, ts, i)
     assert restored.n_outputs == eng.n_outputs > outputs
+
+
+def test_dropped_query_is_freed_by_refcounting():
+    """A compiled query and its shared ``DetCEA`` form no reference cycle,
+    so dropping the query and its engine frees the CEA at once, without
+    the cyclic collector."""
+    cq = compile_query(STOCK_QUERIES["Q1"])
+    eng = make_engine("core", cq.cea, window=cq.window, consume=cq.consume)
+    for i, e in enumerate(stock_stream(2_000, seed=0)):
+        eng.process(e, cq.ts_of(e, i), i)
+    ref = weakref.ref(cq.cea)
+    gc.disable()
+    try:
+        del cq, eng
+        assert ref() is None
+    finally:
+        gc.enable()

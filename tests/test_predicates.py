@@ -1,12 +1,14 @@
 """Unit tests for atomic predicates and bit-vectors (paper Section 5.4)."""
 import itertools
+from decimal import Decimal
 
 import hypothesis.strategies as st
+import numpy as np
 import pandas as pd
 import pytest
 from hypothesis import given, settings
 
-from repro.cea.predicates import Atom, PredicateIndex, TRUE, guard, type_atom
+from repro.cea.predicates import Atom, PredicateIndex, TRUE, guard, is_null, type_atom
 
 OPS = ("==", "!=", "<", "<=", ">", ">=")
 ATTRS = ("a", "b")
@@ -56,6 +58,20 @@ def test_atom_missing_attribute_is_null():
 
 def test_atom_none_value_is_null():
     assert Atom("x", "==", 1).eval({"x": None}) is False
+
+
+@pytest.mark.parametrize(
+    "v",
+    [
+        None, float("nan"), np.float32("nan"), pd.NA, pd.NaT, np.datetime64("NaT"),
+        Decimal("NaN"), 0, "", False, 1.5, "x", pd.Timestamp("2024-01-02 03:04"),
+    ],
+    ids=repr,
+)
+def test_is_null_agrees_with_pandas(v):
+    """``is_null`` reads NULL as ``pd.isna`` does without importing pandas,
+    and returns a plain bool even for ``pd.NA``, whose comparisons are NA."""
+    assert is_null(v) is bool(pd.isna(v))
 
 
 def test_atom_incomparable_types():
