@@ -26,8 +26,8 @@ Per input tuple the engine:
    ``insert`` case). Every union-list of ``T`` is read by one op, so one
    that goes on to ``T2`` moves there uncopied; the plan then hands over the
    next configuration's table;
-5. enumerates all complex events ending here from the union-lists of the
-   plan's final states (Algorithm 2), with output-linear delay;
+5. enumerates, entry by entry, the union-lists of the plan's final states
+   (Algorithm 2), with output-linear delay and no new tECS node;
 6. collects what fell out of the WITHIN window — the amortized-constant
    analogue of the paper's weak-reference GC, in two parts:
 
@@ -106,6 +106,9 @@ class CoreEngine(EngineBase):
     ):
         self.det = cea.det(strategy)
         super().__init__(self.det.index, window, consume, limit)
+        # LAST/MAX filter an event's whole batch, so they cap after filtering.
+        self._filtered = strategy in ("last", "max")
+        self._cap = None if self._filtered else limit
         self.tecs = TECS(debug=debug, windowed=window is not None)
         # ordered-keys(T): Python dicts preserve insertion order.
         self.T: Dict[int, List[Node]] = {}
@@ -188,19 +191,17 @@ class CoreEngine(EngineBase):
                     tecs.insert(cur, n)
         self.T = T2
 
-        # OUTPUT (lines 29-33).
+        # OUTPUT (lines 29-33), entry by entry in merge(ul) order; max-starts
+        # decrease along a list, so its first entry out of the window ends it.
+        tau = -math.inf if w is None else now - w
         matches: List[Match] = []
         if finals:
-            # LAST/MAX filter the whole batch, so they cap after filtering.
-            filtered = self.det.strategy in ("last", "max")
-            limit = None if filtered else self.limit
             for p in finals:
-                ul = T2[p]
-                n = ul[0] if len(ul) == 1 else tecs.merge(ul)
-                enumerate_matches(n, pos, now, w, limit, matches)
-                if limit is not None and len(matches) >= limit:
-                    break
-            if matches and filtered:
+                for n in T2[p]:
+                    if n.max_start < tau or len(matches) == self._cap:
+                        break
+                    enumerate_matches(n, pos, now, w, self._cap, matches)
+            if matches and self._filtered:
                 matches = _apply_strategy(self.det.strategy, matches)[: self.limit]
             self.n_outputs += len(matches)
 
@@ -208,7 +209,6 @@ class CoreEngine(EngineBase):
             # Consumption policy: forget all events read so far.
             self.reset()
         elif w is not None:
-            tau = now - w
             # Every node built here starts at or after the horizon, except a
             # bottom, which lowered it to ``now``: below it nothing prunes.
             if tau > self._horizon:

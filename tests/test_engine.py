@@ -1,13 +1,15 @@
 """Behavioural tests for CORE's Algorithm-1 engine."""
 import gc
 import pickle
+import random
 import weakref
+from unittest import mock
 
 import hypothesis.strategies as st
 import pytest
 from hypothesis import example, given, settings
 
-from helpers import formulas, stream_of
+from helpers import ALL_SYSTEMS, formulas, run_engine_per_event, stream_of
 from repro.cea import brute, cel
 from repro.cea.automaton import compile_cel
 from repro.cea.ceql import compile_query
@@ -211,10 +213,11 @@ CAP_FORMULAS = [
 @given(
     phi=st.sampled_from(CAP_FORMULAS),
     types=st.lists(st.sampled_from("ABCX"), max_size=9),
-    limit=st.integers(1, 3),
+    limit=st.integers(0, 3),
     window=st.sampled_from([None, 3]),
     consume=st.booleans(),
 )
+@example(phi=CAP_FORMULAS[1], types=list("AAB"), limit=0, window=None, consume=False)
 # At capped enumeration, LAST emitted (0,3,(0,1,2,3)) here instead of
 # (0,3,(0,2,3)), and MAX emitted (1,2,(1,2)) instead of (0,2,(0,1,2)).
 @example(phi=CAP_FORMULAS[0], types=list("ABBC"), limit=1, window=None, consume=False)
@@ -229,6 +232,49 @@ def test_capped_output_is_subset_of_uncapped(strategy, phi, types, limit, window
         got, want = capped.process(t, pos=i), full.process(t, pos=i)
         assert set(got) <= set(want)
         assert len(set(got)) == len(got) == min(limit, len(want))
+
+
+@pytest.mark.parametrize("limit", [0, 1])
+def test_every_engine_caps_at_small_limits(limit):
+    """``A; B`` over ``A A B`` ends two complex events at the B; at limit 0
+    no engine emits one, at limit 1 every engine emits the same one."""
+    cea = compile_cel(cel.Seq(A, B))
+    batches = {s: run_engine_per_event(s, cea, stream_of("A", "A", "B"), limit=limit)
+               for s in ALL_SYSTEMS}
+    assert [len(b) for b in batches["core"]] == [0, 0, limit]
+    for system in ALL_SYSTEMS[1:]:
+        assert batches[system] == batches["core"], system
+
+
+@pytest.mark.parametrize("text", ["A; B+ WITHIN 6 events", "(A OR (A;B)); C WITHIN 6 events"])
+def test_output_builds_no_tecs_nodes(text):
+    """OUTPUT enumerates a final state's union-list entry by entry, so
+    ``TECS.merge`` runs only for Algorithm 1's non-copy ops whose list has
+    two or more entries, in op order, and on no final list."""
+    cq = compile_query(f"SELECT * FROM S WHERE {text}")
+    eng = CoreEngine(cq.cea, cq.window, limit=10)
+    merged = []
+    orig = TECS.merge
+
+    def merge(self, ul):
+        merged.append(ul)
+        return orig(self, ul)
+
+    rng = random.Random(0)
+    n_merges = 0
+    with mock.patch.object(TECS, "merge", merge):
+        for pos in range(3_000):
+            mask = eng.index.mask({"type": rng.choice("ABCX")})
+            plan = eng._plans.get(mask)
+            if plan is None:
+                plan = eng.det.plan(tuple(eng.T), mask)
+            ops = plan[1] if plan else ()
+            want = [eng.T[p] for p, _, _, copy in ops if not copy and len(eng.T[p]) >= 2]
+            merged.clear()
+            eng.step(mask, pos, float(pos))
+            assert [id(ul) for ul in merged] == [id(ul) for ul in want]
+            n_merges += len(want)
+    assert n_merges > 0 and eng.n_outputs > 0
 
 
 def test_brute_force_agreement_sanity():
