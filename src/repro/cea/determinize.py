@@ -7,7 +7,7 @@ exactly as CORE does — we determinize lazily while the stream is processed:
 
 * a deterministic state is a frozenset of NFA states, interned to a small int;
 * the tuple is first reduced to its predicate **bit-vector** (Section 5.4,
-  see :meth:`repro.cea.predicates.PredicateIndex.mask`), an ``int`` whose
+  see :attr:`repro.cea.predicates.PredicateIndex.mask`), an ``int`` whose
   bit ``i`` says whether atom ``i`` holds, and the pair
   ``(det_state, mask)`` keys a transition cache, so each distinct
   combination is computed only once and each predicate is evaluated once per

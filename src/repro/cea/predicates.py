@@ -12,8 +12,12 @@ producing a bit-vector that is then the tuple's internal representation: the
 engines test guards against the bit-vector, and the determinization cache is
 keyed on ``(state, bit-vector)``. The bit-vector is a Python ``int`` mask
 (bit ``i`` set iff ``P_i`` holds), so a guard test is one ``&`` and the cache
-key is a small int. ``masks(frame)`` computes the masks of a whole pandas
-batch column by column, for the Spark paths.
+key is a small int. ``PredicateIndex.mask`` is a *mask kernel*: a
+straight-line function generated per index from the index's shape alone
+and compiled once per shape per process, with the query's attribute names
+and constants bound through its closure, never spliced into its source.
+``masks(frame)`` computes the masks of a whole pandas batch column by
+column, for the Spark paths.
 
 Nothing here imports numpy or pandas at module level: compiling a query or
 running an engine never loads them. ``masks`` imports both in its own body,
@@ -21,9 +25,10 @@ once per frame, and only callers that already hold a frame reach it.
 """
 from __future__ import annotations
 
-import operator
+import linecache
 import sys
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import (
     TYPE_CHECKING, Any, Callable, Dict, FrozenSet, Iterable, List, Mapping, Tuple,
 )
@@ -31,14 +36,8 @@ from typing import (
 if TYPE_CHECKING:
     import pandas as pd
 
-_OPS = {
-    "==": operator.eq,
-    "!=": operator.ne,
-    "<": operator.lt,
-    "<=": operator.le,
-    ">": operator.gt,
-    ">=": operator.ge,
-}
+# The comparison ops an atom may use; the mask kernel spells them inline.
+_OPS = frozenset(("==", "!=", "<", "<=", ">", ">="))
 
 
 def is_null(v: Any) -> bool:
@@ -114,44 +113,103 @@ def guard(*atoms: Atom) -> Guard:
     return frozenset(atoms)
 
 
-# Per-atom comparisons ``(op, constant, bit)`` on one attribute's value.
-_Checks = Iterable[Tuple[Callable[[Any, Any], Any], Any, int]]
-
-
-def _compare(v: Any, checks: _Checks) -> int:
-    """Bits of the ``checks`` that non-NULL value ``v`` satisfies, with
-    :meth:`Atom.eval`'s semantics (incomparable types satisfy nothing)."""
+def _unhashable(v: Any, table: Mapping[Any, int]) -> int:
+    """Bits of the equality ``table`` that unhashable ``v`` satisfies,
+    compared atom by atom with :meth:`Atom.eval`'s semantics."""
     m = 0
-    for op, c, bit in checks:
+    for c, bit in table.items():
         try:
-            if op(v, c):
+            if v == c:
                 m |= bit
         except TypeError:
             pass
     return m
 
 
+# The shape of a mask kernel: per attribute, in bit order of first use,
+# whether it has an equality table and the ops of its other atoms.
+_Shape = Tuple[Tuple[bool, Tuple[str, ...]], ...]
+
+
+@lru_cache(maxsize=256)
+def _kernel_factory(shape: _Shape) -> Callable[..., Callable[[Mapping[str, Any]], int]]:
+    """Compile the mask kernel of ``shape`` once per process.
+
+    The source is built from the shape alone: names are positional
+    (``a0``, ``e0``, ``c0_1``, ...) and every op is one of ``_OPS``, so no
+    attribute name or constant of a query ever reaches ``compile``. What
+    is returned is the generated ``make(*bindings)``, whose closure binds
+    the names for one index (see ``PredicateIndex.__init__``). The source
+    is registered with ``linecache`` under a name made of the shape, so
+    ``inspect.getsource`` and tracebacks show the kernel.
+    """
+    params = ["unhashable"]
+    body = ["    def mask(t):", "        m = 0"]
+    for i, (has_table, ops) in enumerate(shape):
+        params.append(f"a{i}")
+        body += [f"        v = t.get(a{i})", "        if v is not None:"]
+        if has_table:
+            params.append(f"e{i}")
+            body += [
+                "            try:",
+                f"                m |= e{i}.get(v, 0)",
+                "            except TypeError:",
+                f"                m |= unhashable(v, e{i})",
+            ]
+        for k, op in enumerate(ops):
+            if op not in _OPS:
+                raise ValueError(f"unsupported predicate op {op!r}")
+            params += [f"c{i}_{k}", f"b{i}_{k}"]
+            body += [
+                "            try:",
+                f"                if v {op} c{i}_{k}:",
+                f"                    m |= b{i}_{k}",
+                "            except TypeError:",
+                "                pass",
+            ]
+    body += ["        return m", "    return mask"]
+    src = "\n".join([f"def make({', '.join(params)}):"] + body) + "\n"
+    filename = f"<mask kernel {shape}>"
+    linecache.cache[filename] = (len(src), None, src.splitlines(True), filename)
+    namespace: Dict[str, Any] = {}
+    exec(compile(src, filename, "exec"), namespace)
+    return namespace["make"]
+
+
 class PredicateIndex:
     """Maps the distinct atoms of a query to bit positions.
 
     ``mask(t)`` evaluates every atom once on ``t`` and returns an ``int``
-    whose bit ``i`` is set iff atom ``i`` holds — hashable and cheap to
+    whose bit ``i`` is set iff ``atoms[i].eval(t)`` — hashable and cheap to
     compare, so it doubles as the cache key for on-the-fly determinization
-    (Section 5.4). ``satisfies(g, mask)`` tests a conjunction guard against
-    a mask without touching the tuple again: ``mask & bits(g) == bits(g)``.
+    (Section 5.4). A missing attribute or ``None`` sets no bit.
+    ``satisfies(g, mask)`` tests a conjunction guard against a mask without
+    touching the tuple again: ``mask & bits(g) == bits(g)``.
 
     Equality atoms, almost all of a query's atoms (event types, names), are
     grouped per attribute into one ``{constant: bits}`` table, so a tuple
-    costs one dict lookup per equality-tested attribute plus one comparison
-    per other atom. ``bitvector(t)`` is the per-atom reference the mask is
-    tested against. ``masks(frame)`` gives every row's mask of a pandas
-    batch with one column operation per attribute.
+    costs one ``get`` and one dict lookup per equality-tested attribute plus
+    one comparison per other atom. ``mask`` is not a method but a generated
+    straight-line function, the *mask kernel*, that does exactly that with
+    no loop: its source depends only on the index's shape (per attribute,
+    whether it has a table and the ops of its other atoms), is compiled
+    once per shape per process (``_kernel_factory``), and gets this index's
+    attribute names, tables, constants and bits through its closure. A
+    pickled index carries only its atoms and rebuilds the kernel.
+
+    ``bitvector(t)`` is the per-atom reference the mask is tested against.
+    ``masks(frame)`` gives every row's mask of a pandas batch with one
+    column operation per attribute.
     """
+
+    mask: Callable[[Mapping[str, Any]], int]
 
     def __init__(self, atoms: Iterable[Atom]):
         self._atoms: Tuple[Atom, ...] = tuple(dict.fromkeys(atoms))
+        self._attrs = tuple(dict.fromkeys(a.attr for a in self._atoms))
+        self._gbits: Dict[Guard, int] = {}  # guard -> its atoms' bits, lazily
         tables: Dict[str, Dict[Any, int]] = {}
-        other: Dict[str, List] = {}
+        other: Dict[str, List[Tuple[str, Any, int]]] = {}
         for i, a in enumerate(self._atoms):
             # A NaN constant equals nothing, yet a dict lookup would find it
             # by identity: keep it out of the table.
@@ -159,11 +217,26 @@ class PredicateIndex:
                 table = tables.setdefault(a.attr, {})
                 table[a.value] = table.get(a.value, 0) | 1 << i
             else:
-                other.setdefault(a.attr, []).append((_OPS[a.op], a.value, 1 << i))
-        self._eq = tuple(tables.items())
-        self._other = tuple((k, tuple(v)) for k, v in other.items())
-        self._attrs = tuple(dict.fromkeys(a.attr for a in self._atoms))
-        self._gbits: Dict[Guard, int] = {}  # guard -> its atoms' bits, lazily
+                other.setdefault(a.attr, []).append((a.op, a.value, 1 << i))
+        shape = []
+        bindings: List[Any] = [_unhashable]
+        for attr in self._attrs:
+            table = tables.get(attr)
+            bindings.append(attr)
+            if table is not None:
+                bindings.append(table)
+            ops = []
+            for op, c, bit in other.get(attr, ()):
+                ops.append(op)
+                bindings += (c, bit)
+            shape.append((table is not None, tuple(ops)))
+        self.mask = _kernel_factory(tuple(shape))(*bindings)
+
+    def __getstate__(self):  # the kernel is rebuilt from the atoms
+        return self._atoms
+
+    def __setstate__(self, atoms):
+        self.__init__(atoms)
 
     @property
     def atoms(self) -> Tuple[Atom, ...]:
@@ -175,24 +248,6 @@ class PredicateIndex:
     def bitvector(self, t: Mapping[str, Any]) -> Tuple[bool, ...]:
         """Per-atom reference: ``Atom.eval`` of every atom, in bit order."""
         return tuple(a.eval(t) for a in self._atoms)
-
-    def mask(self, t: Mapping[str, Any]) -> int:
-        """The tuple's predicate bit-vector as an int: bit ``i`` is set iff
-        ``atoms[i].eval(t)``. A missing attribute or ``None`` sets no bit."""
-        get = t.get
-        m = 0
-        for attr, table in self._eq:
-            v = get(attr)
-            if v is not None:
-                try:
-                    m |= table.get(v, 0)
-                except TypeError:  # unhashable value: compare atom by atom
-                    m |= _compare(v, [(operator.eq, c, b) for c, b in table.items()])
-        for attr, checks in self._other:
-            v = get(attr)
-            if v is not None:
-                m |= _compare(v, checks)
-        return m
 
     def masks(self, frame: pd.DataFrame) -> List[int]:
         """``mask`` of every row of ``frame``, in row order, where None, NaN

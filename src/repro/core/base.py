@@ -5,6 +5,9 @@ it reads only the tuple's predicate bit-vector (``PredicateIndex.mask``),
 its stream position and its time (paper Section 5.4). ``process`` is the
 one tuple-level entry on top of it, and the run settings of Section 6
 (window, consumption, output cap) and the event/output counters live here.
+For the baselines ``process`` is a thin wrapper: the mask, then ``step``.
+CORE overrides it to finish idle tuples without calling ``step`` (see
+``CoreEngine.process``).
 """
 from __future__ import annotations
 

@@ -374,6 +374,72 @@ def test_cached_plans_match_reference_loop(strategy, phi, events, window, limit,
         assert _window_state(eng.T) == _window_state(ref.T)
 
 
+def _entry_state(eng):
+    return (_window_state(eng.T), eng._horizon, eng.n_events, eng.n_outputs)
+
+
+@pytest.mark.parametrize("strategy", ["all", "next", "last", "max"])
+@settings(max_examples=100, deadline=None)
+@given(
+    phi=formulas(),
+    # (type, v, idle run before it, time gap per event); X matches no formula.
+    segments=st.lists(
+        st.tuples(
+            st.sampled_from("ABC"), st.integers(0, 4), st.integers(0, 12), st.integers(0, 3)
+        ),
+        max_size=10,
+    ),
+    window=st.sampled_from([None, 0, 2, 5]),
+    time_window=st.booleans(),
+    limit=st.sampled_from([None, 1, 3]),
+    consume=st.booleans(),
+)
+def test_process_equals_step_on_the_mask(
+    strategy, phi, segments, window, time_window, limit, consume
+):
+    """``process``, which finishes idle tuples itself, leaves the engine
+    exactly as ``step`` on the tuple's mask does: after every tuple the
+    matches, ``T``'s key order, the union-lists' max-starts, the horizon
+    and the counters agree. Count windows use ``process``'s defaults."""
+    cea = compile_cel(phi)
+    a, b = (
+        CoreEngine(cea, window, consume=consume, limit=limit, strategy=strategy)
+        for _ in range(2)
+    )
+    pos, now = 0, 0.0
+    for typ, v, idle, gap in segments:
+        for t in [{"type": "X"}] * idle + [{"type": typ, "v": v}]:
+            if time_window:
+                now += gap / 2
+                got = a.process(t, now, pos)
+            else:
+                now = float(pos)
+                got = a.process(t)
+            assert got == b.step(b.index.mask(t), pos, now)
+            assert _entry_state(a) == _entry_state(b)
+            pos += 1
+
+
+def test_pickled_engine_rebuilds_its_mask_kernel():
+    """The generated mask kernel stays out of a pickled engine (Spark
+    streaming's per-key state); the restored engine builds its own, which
+    gives every tuple the mask the original's does."""
+    cq = compile_query(STOCK_QUERIES["Q2"])
+    stream = stock_stream(2_000, seed=0)
+    eng = CoreEngine(cq.cea, cq.window, consume=cq.consume)
+    for i, e in enumerate(stream[:1_000]):
+        eng.process(e, cq.ts_of(e, i), i)
+    blob = pickle.dumps(eng)
+    assert b"mask kernel" not in blob and b"unhashable" not in blob
+    restored = pickle.loads(blob)
+    assert restored.index is restored.det.index
+    assert restored.index.mask is not eng.index.mask
+    assert [restored.index.mask(e) for e in stream] == [eng.index.mask(e) for e in stream]
+    for i, e in enumerate(stream[1_000:], 1_000):
+        ts = cq.ts_of(e, i)
+        assert restored.process(e, ts, i) == eng.process(e, ts, i)
+
+
 def test_pickled_engine_holds_no_caches():
     """The transition cache and the plan tables are rebuilt after unpickling,
     so they stay out of the pickle (1,824 bytes for this engine when they

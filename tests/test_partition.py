@@ -159,3 +159,29 @@ def test_partitions_share_one_detcea(qname):
     assert len(dets) == 1
     assert dets == {id(cq.cea.det(cq.strategy))}
     assert len({id(eng.det) for eng in fresh.engines.values()}) == fresh.n_partitions
+
+
+@pytest.mark.parametrize("qname", ["Q3", "Q6"])
+def test_partitioned_process_equals_step_per_partition(qname):
+    """``PartitionedEngine`` hands each tuple to its partition's
+    ``process``, which finishes idle tuples itself. Per-partition engines
+    fed ``step`` on the tuple's mask give the same outputs, tuple by tuple,
+    and end in the same state."""
+    cq = compile_query(STOCK_QUERIES[qname])
+    kw = dict(window=cq.window, consume=cq.consume)
+    eng = make_partitioned("core", cq.cea, cq.partition_by, **kw)
+    ref = {}
+    outputs = 0
+    for i, e in enumerate(stock_stream(5_000, seed=2)):
+        ts = cq.ts_of(e, i)
+        r = ref.setdefault(tuple(e[a] for a in cq.partition_by), make_engine("core", cq.cea, **kw))
+        want = r.step(r.index.mask(e), i, ts)
+        assert eng.process(e, ts, i) == want
+        outputs += len(want)
+    assert outputs > 0 and eng.engines.keys() == ref.keys()
+
+    def state(p):
+        T = [(q, [n.max_start for n in ul]) for q, ul in p.T.items()]
+        return T, p._horizon, p.n_events, p.n_outputs
+
+    assert all(state(eng.engines[k]) == state(r) for k, r in ref.items())

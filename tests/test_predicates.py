@@ -1,4 +1,5 @@
 """Unit tests for atomic predicates and bit-vectors (paper Section 5.4)."""
+import inspect
 import itertools
 from decimal import Decimal
 
@@ -6,9 +7,13 @@ import hypothesis.strategies as st
 import numpy as np
 import pandas as pd
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
-from repro.cea.predicates import Atom, PredicateIndex, TRUE, guard, is_null, type_atom
+from repro.cea.ceql import compile_query
+from repro.cea.predicates import (
+    Atom, PredicateIndex, TRUE, _kernel_factory, guard, is_null, type_atom,
+)
+from repro.harness.stock_queries import STOCK_QUERIES
 
 OPS = ("==", "!=", "<", "<=", ">", ">=")
 ATTRS = ("a", "b")
@@ -25,6 +30,13 @@ constants = (
 values = constants | st.none() | st.just(NAN) | st.lists(st.integers(0, 2), max_size=2)
 atoms = st.builds(Atom, st.sampled_from(ATTRS), st.sampled_from(OPS), constants)
 tuples = st.dictionaries(st.sampled_from(ATTRS + ("c",)), values)
+# Attribute names and string constants that would break, or run as, Python
+# if the mask kernel spliced them into its source.
+HOSTILE = [
+    "a'", 'b"', "c\nd", "e\\", "f'); import os; os._exit(3) #", '"""', "{g}", "h\r\x00",
+]
+HOSTILE_ATOMS = [Atom(HOSTILE[i], OPS[i % len(OPS)], HOSTILE[-1 - i]) for i in range(len(HOSTILE))]
+HOSTILE_TUPLE = {a: c for a, c in zip(HOSTILE, HOSTILE[1:] + HOSTILE[:1])}
 
 
 @pytest.mark.parametrize(
@@ -114,6 +126,8 @@ def test_bitvector_is_hashable_cache_key():
 @pytest.mark.parametrize("op", OPS)
 @settings(max_examples=100, deadline=None)
 @given(c=constants, more=st.lists(atoms, max_size=6), t=tuples)
+@example(c="'", more=HOSTILE_ATOMS, t={**HOSTILE_TUPLE, "a": "'"})
+@example(c='"\n', more=HOSTILE_ATOMS, t={h: h for h in HOSTILE})
 def test_mask_agrees_with_atom_eval(op, c, more, t):
     idx = PredicateIndex([Atom("a", op, c)] + more)
     m = idx.mask(t)
@@ -134,6 +148,51 @@ def test_mask_equality_table_edge_cases():
     assert idx.mask({"x": NAN}) == 0  # NaN == NaN is false
     assert idx.mask({"x": [1]}) == 0  # unhashable: compared atom by atom
     assert idx.mask({"x": None}) == idx.mask({}) == 0
+
+
+def test_kernels_of_one_shape_keep_their_own_bindings():
+    """Two indexes of one shape share the compiled kernel code, yet each
+    mask reads its own attributes, constants and bits."""
+    one = PredicateIndex([type_atom("A"), Atom("price", ">", 100), type_atom("B")])
+    two = PredicateIndex([Atom("name", "==", "x"), Atom("vol", ">", 5.5), Atom("name", "==", "y")])
+    assert one.mask.__code__ is two.mask.__code__
+    rows = [
+        {"type": "A", "price": 200, "name": "y", "vol": 1},
+        {"type": "B", "price": 50, "name": "x", "vol": 6},
+        {"type": "x", "name": "A", "price": 6, "vol": 200},
+    ]
+    assert [one.mask(r) for r in rows] == [0b011, 0b100, 0b000]
+    assert [two.mask(r) for r in rows] == [0b100, 0b011, 0b010]
+
+
+def test_kernel_source_holds_no_query_text():
+    """Attribute names and constants reach the kernel only through its
+    closure: its source is the same for any query of its shape."""
+    idx = PredicateIndex(HOSTILE_ATOMS)
+    src = inspect.getsource(idx.mask)
+    assert all(h not in src for h in HOSTILE + ["import", "_exit"])
+    for t in (HOSTILE_TUPLE, {h: h for h in HOSTILE}, {}):
+        assert [bool(idx.mask(t) >> i & 1) for i in range(len(idx))] == list(idx.bitvector(t))
+    # The same shape over plain names compiles to the same code.
+    plain = PredicateIndex([Atom(f"x{i}", a.op, i) for i, a in enumerate(HOSTILE_ATOMS)])
+    assert plain.mask.__code__ is idx.mask.__code__
+
+
+SYNTH_QUERY = "SELECT * FROM S WHERE A1; A2+; A3 WITHIN 100 events"
+
+
+def test_recompiling_queries_compiles_no_kernel():
+    """Compiling a query binds its kernel to names but compiles no source
+    once its shape has been seen in the process: the second round over
+    Q1-Q7 and the synthetic Kleene query misses the kernel cache zero
+    times, so each ``compile()`` happens at most once per shape."""
+    texts = [*STOCK_QUERIES.values(), SYNTH_QUERY]
+    for text in texts:
+        compile_query(text)
+    compiles = _kernel_factory.cache_info().misses
+    for text in texts:
+        compile_query(text)
+    assert _kernel_factory.cache_info().misses == compiles
 
 
 # Column-wise masks: one column per dtype the Spark paths can hand over.
