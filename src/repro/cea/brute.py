@@ -105,15 +105,29 @@ def complex_events(
     stream: List[Mapping],
     window: float | None = None,
     ts: Sequence[float] | None = None,
+    consume: bool = False,
 ) -> Set[ComplexEvent]:
     """Complex-event semantics ``[[phi]]^eps(S)``: forget variables, apply
     the WITHIN filter ``ts[end] - ts[start] <= window``. ``ts`` gives each
     tuple's time; without it time is the position (count-based windows).
+
+    ``consume`` applies the consumption policy of the Section 6 experiments
+    (``CONSUME BY ANY``): an event at which a complex event ends consumes
+    every event up to it, so evaluation restarts at the next event.
     """
-    out = set()
-    for (i, j, m) in evaluate(phi, stream):
-        if window is not None and (j - i if ts is None else ts[j] - ts[i]) > window:
-            continue
-        data = frozenset().union(*(ps for _, ps in m)) if m else frozenset()
-        out.add((i, j, tuple(sorted(data))))
-    return out
+    if ts is None:
+        ts = range(len(stream))
+    out: Set[ComplexEvent] = set()
+    start = 0
+    while True:
+        found = set()
+        for (i, j, m) in evaluate(phi, stream[start:]):
+            i, j = i + start, j + start
+            if window is None or ts[j] - ts[i] <= window:
+                data = frozenset().union(*(ps for _, ps in m)) if m else frozenset()
+                found.add((i, j, tuple(sorted(p + start for p in data))))
+        if not consume or not found:
+            return out | found
+        end = min(j for _, j, _ in found)
+        out |= {ce for ce in found if ce[1] == end}
+        start = end + 1

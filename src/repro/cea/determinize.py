@@ -28,8 +28,8 @@ The NEXT selection strategy (skip-till-next-match) is implemented here at the
 branching level: when a marking successor exists, the non-marking branch is
 suppressed, so each run deterministically consumes the earliest matching
 event instead of forking. ALL (skip-till-any-match, the CEQL default) keeps
-both branches. LAST/MAX are enumeration-time filters in the engine (see
-DESIGN.md for why this preserves the measured behaviour).
+both branches. LAST and MAX filter ALL's matches in the engine and share its
+``DetCEA`` (see DESIGN.md for why this preserves the measured behaviour).
 """
 from __future__ import annotations
 
@@ -45,19 +45,24 @@ BitVec = int
 Plan = Any
 
 
+def next_branching(strategy: str) -> bool:
+    """Whether ``strategy`` determinizes as NEXT does (ValueError if unknown)."""
+    if strategy not in ("all", "next", "last", "max"):
+        raise ValueError(f"unknown selection strategy {strategy!r}")
+    return strategy == "next"
+
+
 class DetCEA:
     """Lazily determinized view of a CEA, shared by its engines (``CEA.det``)."""
 
     def __init__(self, cea: CEA, strategy: str = "all"):
-        if strategy not in ("all", "next", "last", "max"):
-            raise ValueError(f"unknown selection strategy {strategy!r}")
         # What determinization reads of the CEA. Not the CEA itself: it
         # holds this DetCEA (``CEA.det``), and a cycle would leave a dropped
         # query to the cyclic collector.
         self.adj = cea.adj
         self.finals = cea.finals
         self.index = cea.index
-        self.strategy = strategy
+        self.is_next = next_branching(strategy)
         self._sets: List[FrozenSet[int]] = []
         self._ids: Dict[FrozenSet[int], int] = {}
         self._finals: List[bool] = []
@@ -116,7 +121,7 @@ class DetCEA:
                     (mark_set if mark else unmark_set).add(dst)
         q_mark = self._intern(frozenset(mark_set)) if mark_set else None
         q_unmark = self._intern(frozenset(unmark_set)) if unmark_set else None
-        if self.strategy == "next" and q_mark is not None:
+        if self.is_next and q_mark is not None:
             q_unmark = None
         out = (q_mark, q_unmark)
         self._cache[key] = out

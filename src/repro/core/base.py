@@ -2,9 +2,11 @@
 
 An engine's whole per-tuple contract is ``step(mask, pos, now) -> matches``:
 it reads only the tuple's predicate bit-vector (``PredicateIndex.mask``),
-its stream position and its time (paper Section 5.4). ``process`` is the
-one tuple-level entry on top of it, and the run settings of Section 6
-(window, consumption, output cap) and the event/output counters live here.
+its stream position and its time (paper Section 5.4). ``process(t, ts,
+pos)`` is the one tuple-level entry on top of it; its caller supplies the
+time (the query's ``CompiledQuery.ts_of``) and the position. The run settings
+of Section 6 (window, consumption, output cap) and the event/output counters
+live here.
 For the baselines ``process`` is a thin wrapper: the mask, then ``step``.
 CORE overrides it to finish idle tuples without calling ``step`` (see
 ``CoreEngine.process``).
@@ -46,25 +48,16 @@ class EngineBase:
         self.window = window
         self.consume = consume
         self.limit = limit
-        self._count = 0
         self.n_events = 0
         self.n_outputs = 0
 
-    def process(
-        self,
-        t: Mapping[str, Any],
-        ts: Optional[float] = None,
-        pos: Optional[int] = None,
-    ) -> List[Match]:
+    def process(self, t: Mapping[str, Any], ts: float, pos: int) -> List[Match]:
         """Feed one tuple; return the complex events ending at this tuple.
 
-        ``pos`` is the tuple's global stream position (defaults to an
-        internal counter); ``ts`` its time (defaults to ``pos`` — count-based
-        windows, as in the synthetic experiments).
+        ``ts`` is the tuple's time (``CompiledQuery.ts_of``) and ``pos`` its
+        global stream position.
         """
-        j = self._count if pos is None else pos
-        self._count += 1
-        return self.step(self.index.mask(t), j, float(j) if ts is None else ts)
+        return self.step(self.index.mask(t), pos, ts)
 
     def step(self, mask: int, pos: int, now: float) -> List[Match]:  # overridden
         """Advance the engine on a tuple with predicate mask ``mask`` at

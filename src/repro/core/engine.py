@@ -58,8 +58,8 @@ this is precisely the property the Section 6 experiments measure.
 
 Selection strategies: ``all`` (default, skip-till-any-match) and ``next``
 change the automaton branching (see ``determinize``); ``last`` and ``max``
-are enumeration-time filters over the ``all`` automaton (per-event batch:
-``last`` keeps the latest-positions match per start, ``max`` keeps matches
+are per-event-batch filters over the ``all`` automaton and its ``DetCEA``
+(``last`` keeps the latest-positions match per start, ``max`` keeps matches
 whose position set is not strictly contained in another's). The filters need
 the whole batch, so under ``last``/``max`` every event enumerates all its
 matches before the ``limit`` cap is applied: capped output is then a subset
@@ -70,13 +70,13 @@ its predicate mask, position and time; it is the engine's whole per-tuple
 contract, and it always enumerates. The Spark paths compute the masks of a
 whole batch column by column (``PredicateIndex.masks``) and call ``step``.
 ``process(t, ts, pos)``, the per-tuple entry of the harness and of
-``PartitionedEngine``, is not a thin wrapper here as it is for the
-baselines (``EngineBase``): it runs steps 1–2 itself
-and finishes an idle tuple in its own frame, so idle tuples (59% of the
-``synth-kleene`` benchmark stream, 46–96% per stock query) never enter
-``step``; only busy tuples, and masks the plan table has not met, go on
-to it. The idle branch is written in both entries, and
-``tests/test_engine.py`` pins the two equal.
+``PartitionedEngine``, takes time and position from its caller, as
+``EngineBase.process`` does, but is no thin wrapper: it runs steps 1–2
+itself and finishes an idle tuple in its own frame, so idle tuples (59% of
+the ``synth-kleene`` benchmark stream, 46–96% per stock query) never enter
+``step``; only busy tuples, and masks the plan table has not met, go on to
+it. The idle branch is written in both entries, and ``tests/test_engine.py``
+pins the two equal.
 """
 from __future__ import annotations
 
@@ -115,8 +115,8 @@ class CoreEngine(EngineBase):
         self.det = cea.det(strategy)
         super().__init__(self.det.index, window, consume, limit)
         # LAST/MAX filter an event's whole batch, so they cap after filtering.
-        self._filtered = strategy in ("last", "max")
-        self._cap = None if self._filtered else limit
+        self._filter = strategy if strategy in ("last", "max") else None
+        self._cap = None if self._filter else limit
         self.tecs = TECS(debug=debug, windowed=window is not None)
         # ordered-keys(T): Python dicts preserve insertion order.
         self.T: Dict[int, List[Node]] = {}
@@ -140,27 +140,19 @@ class CoreEngine(EngineBase):
         self._plans = self.det.plan_table(tuple(self.T))
 
     # ------------------------------------------------------------------
-    def process(
-        self,
-        t: Mapping[str, Any],
-        ts: Optional[float] = None,
-        pos: Optional[int] = None,
-    ) -> List[Match]:
+    def process(self, t: Mapping[str, Any], ts: float, pos: int) -> List[Match]:
         """``EngineBase.process`` with idle tuples finished here, in one
         frame: the mask kernel, one plan-table lookup and, for a tuple the
         table already knows to be idle, ``step``'s idle branch inline. Every
         other tuple goes on to ``step``."""
-        j = self._count if pos is None else pos
-        self._count += 1
-        now = float(j) if ts is None else ts
         mask = self.index.mask(t)
         if self._plans.get(mask) is not False:
-            return self.step(mask, j, now)
+            return self.step(mask, pos, ts)
         # ``step``'s idle branch (tests/test_engine.py pins the two equal).
         self.n_events += 1
         w = self.window
-        if w is not None and now - w > self._horizon:
-            self._prune(now)
+        if w is not None and ts - w > self._horizon:
+            self._prune(ts)
         return []
 
     def step(self, mask: int, pos: int, now: float) -> List[Match]:
@@ -232,8 +224,8 @@ class CoreEngine(EngineBase):
                     if n.max_start < tau or len(matches) == self._cap:
                         break
                     enumerate_matches(n, pos, now, w, self._cap, matches)
-            if matches and self._filtered:
-                matches = _apply_strategy(self.det.strategy, matches)[: self.limit]
+            if matches and self._filter:
+                matches = _apply_strategy(self._filter, matches)[: self.limit]
             self.n_outputs += len(matches)
 
         if matches and self.consume:

@@ -11,12 +11,13 @@ baseline) and routes each tuple to its partition's instance.
 Tuples with NULL in any partition attribute belong to no substream and are
 skipped, per the Section 3 semantics. NULL is None, NaN, ``pd.NA`` or
 ``NaT`` (``is_null``), as in pandas and in the Spark path (``dropna`` before
-grouping). Positions and times passed through are the *global* ones, so
-outputs are comparable across engines and with the SQL oracle.
+grouping). ``process`` takes each tuple's time and position from its caller
+and passes them through unchanged: they are the *global* ones, so outputs
+are comparable across engines and with the SQL oracle.
 """
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Mapping, Sequence, Tuple
 
 from ..cea.predicates import is_null
 from .enumerate import Match
@@ -39,18 +40,10 @@ class PartitionedEngine:
         self.factory = factory
         self.partition_by = tuple(partition_by)
         self.engines: Dict[Tuple[Any, ...], Any] = {}
-        self._count = 0
         self.n_events = 0
         self.n_outputs = 0
 
-    def process(
-        self,
-        t: Mapping[str, Any],
-        ts: Optional[float] = None,
-        pos: Optional[int] = None,
-    ) -> List[Match]:
-        j = self._count if pos is None else pos
-        self._count += 1
+    def process(self, t: Mapping[str, Any], ts: float, pos: int) -> List[Match]:
         self.n_events += 1
         key = tuple(map(t.get, self.partition_by))
         for v in key:
@@ -59,7 +52,7 @@ class PartitionedEngine:
         eng = self.engines.get(key)
         if eng is None:
             eng = self.engines[key] = self.factory()
-        out = eng.process(t, ts, j)
+        out = eng.process(t, ts, pos)
         self.n_outputs += len(out)
         return out
 

@@ -40,13 +40,14 @@ def throughput_run(
     events: Sequence[Mapping[str, Any]],
     *,
     budget_s: Optional[float] = None,
-    ts_of: Optional[Callable[[Mapping[str, Any], int], float]] = None,
+    ts_of: Callable[[Mapping[str, Any], int], float],
 ) -> RunStats:
     """Feed ``events`` until the time budget is exhausted (or the stream
     ends); return events processed, elapsed seconds, and outputs produced.
 
-    The budget is checked between events, so a single very slow event (the
-    degenerate baseline cases) still terminates the run.
+    Event ``pos`` is fed at time ``ts_of(event, pos)``. The budget is
+    checked between events, so a single very slow event (the degenerate
+    baseline cases) still terminates the run.
     """
     budget = default_budget() if budget_s is None else budget_s
     outputs = 0
@@ -54,8 +55,7 @@ def throughput_run(
     t0 = time.perf_counter()
     deadline = t0 + budget
     for pos, t in enumerate(events):
-        ts = None if ts_of is None else ts_of(t, pos)
-        outputs += len(engine.process(t, ts=ts, pos=pos))
+        outputs += len(engine.process(t, ts_of(t, pos), pos))
         n += 1
         if time.perf_counter() >= deadline:
             break
@@ -67,7 +67,7 @@ def memory_run(
     factory: Callable[[], Any],
     events: Sequence[Mapping[str, Any]],
     *,
-    ts_of: Optional[Callable[[Mapping[str, Any], int], float]] = None,
+    ts_of: Callable[[Mapping[str, Any], int], float],
     budget_s: Optional[float] = None,
 ) -> int:
     """Peak tracemalloc bytes while one engine processes ``events``.

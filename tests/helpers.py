@@ -20,6 +20,18 @@ def stream_of(*types: str, **attrs) -> List[Dict[str, Any]]:
     return [{"type": t, **attrs} for t in types]
 
 
+def by_position(t: Mapping[str, Any], pos: int) -> float:
+    """A tuple's time under ``WITHIN n events``: its position (what
+    ``CompiledQuery.ts_of`` gives for a query without a time attribute)."""
+    return float(pos)
+
+
+def feed(eng: Any, stream: Sequence[Mapping[str, Any]], ts_of=by_position) -> List[List[Match]]:
+    """Feed a stream through an engine at positions 0, 1, ... and times
+    ``ts_of(t, pos)``; return each tuple's matches."""
+    return [eng.process(t, ts_of(t, pos), pos) for pos, t in enumerate(stream)]
+
+
 def run_engine(
     name: str,
     cea: CEA,
@@ -29,29 +41,26 @@ def run_engine(
     consume: bool = False,
     limit: Optional[int] = None,
     strategy: str = "all",
-    ts_of=None,
+    ts_of=by_position,
 ) -> Set[Match]:
     """Feed a whole stream through one engine, return the match *set*."""
     eng = make_engine(
         name, cea, window=window, consume=consume, limit=limit, strategy=strategy
     )
-    out: Set[Match] = set()
-    for pos, t in enumerate(stream):
-        ts = None if ts_of is None else ts_of(t, pos)
-        out |= set(eng.process(t, ts=ts, pos=pos))
-    return out
+    return {m for batch in feed(eng, stream, ts_of) for m in batch}
 
 
 def run_engine_per_event(
     name: str,
     cea: CEA,
     stream: Sequence[Mapping[str, Any]],
+    *,
+    ts_of=by_position,
     **kw,
 ) -> List[Set[Match]]:
     """Like run_engine but keeps the per-event batches (order-sensitive
     behaviours: consumption, windows)."""
-    eng = make_engine(name, cea, **kw)
-    return [set(eng.process(t, pos=pos)) for pos, t in enumerate(stream)]
+    return [set(batch) for batch in feed(make_engine(name, cea, **kw), stream, ts_of)]
 
 
 @st.composite

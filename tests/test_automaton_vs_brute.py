@@ -130,7 +130,38 @@ def test_property_consumption_policy_equal_across_engines(stream, window):
 
         eng = make_engine(system, cea, window=window, consume=True)
         batches[system] = [
-            frozenset(eng.process(t, pos=i)) for i, t in enumerate(stream)
+            frozenset(eng.process(t, float(i), i)) for i, t in enumerate(stream)
         ]
     for system in ALL_SYSTEMS[1:]:
         assert batches[system] == batches["core"]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    phi=formulas(),
+    # (type, v, time since the previous tuple); X matches no formula.
+    events=st.lists(
+        st.tuples(st.sampled_from("ABCX"), st.integers(0, 4), st.integers(0, 2)),
+        min_size=1,
+        max_size=8,
+    ),
+    window=st.sampled_from([None, 0, 2, 4]),
+    time_window=st.booleans(),
+)
+def test_property_engines_match_brute_under_consumption(phi, events, window, time_window):
+    """``CONSUME BY ANY``, which every Table 1-5 cell runs: CORE and the
+    three baselines report exactly brute force's complex events, which
+    restarts the stream after each event that ends one; over count windows
+    and time windows (ties included)."""
+    stream = [{"type": t, "v": v} for t, v, _ in events]
+    if time_window:
+        ts = list(itertools.accumulate(gap for _, _, gap in events))
+    else:
+        ts = list(range(len(stream)))
+    expected = brute.complex_events(phi, stream, window=window, ts=ts, consume=True)
+    cea = compile_cel(phi)
+    for system in ALL_SYSTEMS:
+        got = run_engine(
+            system, cea, stream, window=window, consume=True, ts_of=lambda t, i: float(ts[i])
+        )
+        assert got == expected, system

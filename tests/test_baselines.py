@@ -19,7 +19,7 @@ def test_basic_match(Engine):
     eng = Engine(SEQ2)
     out = []
     for i, t in enumerate(stream_of("A", "X", "B")):
-        out.extend(eng.process(t, pos=i))
+        out.extend(eng.process(t, float(i), i))
     assert out == [(0, 2, (0, 2))]
 
 
@@ -29,7 +29,7 @@ def test_partial_match_explosion_is_materialized(Engine):
     super-linearly in window content (here: #A * (#B+1) for A;B;C)."""
     eng = Engine(SEQ3, window=100)
     for i, t in enumerate(stream_of(*(["A", "B"] * 10))):
-        eng.process(t, pos=i)
+        eng.process(t, float(i), i)
     assert eng.n_partial_matches > 50
 
 
@@ -37,7 +37,7 @@ def test_partial_match_explosion_is_materialized(Engine):
 def test_window_prunes_partial_matches(Engine):
     eng = Engine(SEQ3, window=4)
     for i, t in enumerate(stream_of(*(["A", "B"] * 50))):
-        eng.process(t, pos=i)
+        eng.process(t, float(i), i)
     bounded = eng.n_partial_matches
     assert bounded < 40  # stays O(window^2), not O(stream^2)
 
@@ -45,8 +45,8 @@ def test_window_prunes_partial_matches(Engine):
 @pytest.mark.parametrize("Engine", ENGINES)
 def test_consume_clears_runs(Engine):
     eng = Engine(SEQ2, consume=True)
-    eng.process({"type": "A"}, pos=0)
-    out = eng.process({"type": "B"}, pos=1)
+    eng.process({"type": "A"}, 0.0, 0)
+    out = eng.process({"type": "B"}, 1.0, 1)
     assert out and eng.n_partial_matches == 0
 
 
@@ -54,8 +54,8 @@ def test_consume_clears_runs(Engine):
 def test_limit_caps_matches(Engine):
     eng = Engine(SEQ2, limit=2)
     for i in range(5):
-        eng.process({"type": "A"}, pos=i)
-    out = eng.process({"type": "B"}, pos=5)
+        eng.process({"type": "A"}, float(i), i)
+    out = eng.process({"type": "B"}, 5.0, 5)
     assert len(out) == 2
 
 
@@ -64,7 +64,7 @@ def test_selection_next_takes_marking_branch(Engine):
     eng = Engine(SEQ3, selection="next")
     out = []
     for i, t in enumerate(stream_of("A", "B", "B", "C")):
-        out.extend(eng.process(t, pos=i))
+        out.extend(eng.process(t, float(i), i))
     assert out == [(0, 3, (0, 1, 3))]
 
 
@@ -73,8 +73,8 @@ def test_max_runs_cap_sheds_load(Engine):
     capped = Engine(SEQ3, window=100, max_runs=10)
     uncapped = Engine(SEQ3, window=100)
     for i, t in enumerate(stream_of(*(["A", "B"] * 20))):
-        capped.process(t, pos=i)
-        uncapped.process(t, pos=i)
+        capped.process(t, float(i), i)
+        uncapped.process(t, float(i), i)
     assert capped.n_partial_matches <= 3 * 10 + 5  # cap per event (+q0 starts)
     # The cap says what it dropped; without it nothing is dropped.
     assert capped.n_shed_runs > 0
@@ -84,7 +84,7 @@ def test_max_runs_cap_sheds_load(Engine):
 @pytest.mark.parametrize("Engine", ENGINES)
 def test_reset(Engine):
     eng = Engine(SEQ2)
-    eng.process({"type": "A"}, pos=0)
+    eng.process({"type": "A"}, 0.0, 0)
     eng.reset()
     assert eng.n_partial_matches == 0
 
@@ -103,12 +103,12 @@ def test_sase_supports_reports_disjunction():
 
 def test_flink_state_is_serialized_per_event():
     eng = FlinkCepEngine(SEQ2)
-    eng.process({"type": "A"}, pos=0)
+    eng.process({"type": "A"}, 0.0, 0)
     assert isinstance(eng._state_blob, bytes) and len(eng._state_blob) > 2
 
 
 def test_esper_groups_partial_matches_by_state():
     eng = EsperEngine(SEQ3, window=50)
     for i, t in enumerate(stream_of("A", "A", "B")):
-        eng.process(t, pos=i)
+        eng.process(t, float(i), i)
     assert len(eng.buffers) >= 2  # waiting-for-B and waiting-for-C states

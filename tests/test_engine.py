@@ -9,7 +9,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import example, given, settings
 
-from helpers import ALL_SYSTEMS, formulas, run_engine_per_event, stream_of
+from helpers import ALL_SYSTEMS, feed, formulas, run_engine_per_event, stream_of
 from repro.cea import brute, cel
 from repro.cea.automaton import compile_cel
 from repro.cea.ceql import compile_query
@@ -24,17 +24,9 @@ A, B, C = (cel.EventType(x) for x in "ABC")
 SEQ3 = compile_cel(cel.seq(A, B, C))
 
 
-def _feed(eng, stream, ts_of=None):
-    out = []
-    for i, t in enumerate(stream):
-        ts = None if ts_of is None else ts_of(t, i)
-        out.append(eng.process(t, ts=ts, pos=i))
-    return out
-
-
 def test_incremental_outputs_end_at_current_position():
     eng = CoreEngine(SEQ3)
-    batches = _feed(eng, stream_of("A", "B", "C", "C"))
+    batches = feed(eng, stream_of("A", "B", "C", "C"))
     assert batches[0] == [] and batches[1] == []
     assert set(batches[2]) == {(0, 2, (0, 1, 2))}
     assert set(batches[3]) == {(0, 3, (0, 1, 3))}
@@ -43,26 +35,26 @@ def test_incremental_outputs_end_at_current_position():
 def test_limit_caps_per_event_enumeration():
     eng = CoreEngine(compile_cel(cel.Seq(A, B)), limit=2)
     stream = stream_of("A", "A", "A", "A", "B")
-    batches = _feed(eng, stream)
+    batches = feed(eng, stream)
     assert len(batches[-1]) == 2
 
 
 def test_consume_resets_state():
     eng = CoreEngine(compile_cel(cel.Seq(A, B)), consume=True)
-    batches = _feed(eng, stream_of("A", "B"))
+    batches = feed(eng, stream_of("A", "B"))
     assert set(batches[1]) == {(0, 1, (0, 1))}
     assert eng.n_active_states == 0  # consumed
     # A second B would match the first A under skip-till-any, but the match
     # at position 1 consumed it.
-    assert eng.process({"type": "B"}, pos=2) == []
+    assert eng.process({"type": "B"}, 2.0, 2) == []
 
 
 def test_window_excludes_old_starts():
     eng = CoreEngine(SEQ3, window=2)
-    batches = _feed(eng, stream_of("A", "B", "X", "C"))
+    batches = feed(eng, stream_of("A", "B", "X", "C"))
     assert batches[3] == []  # 3 - 0 > 2
     eng2 = CoreEngine(SEQ3, window=3)
-    batches2 = _feed(eng2, stream_of("A", "B", "X", "C"))
+    batches2 = feed(eng2, stream_of("A", "B", "X", "C"))
     assert set(batches2[3]) == {(0, 3, (0, 1, 3))}
 
 
@@ -73,7 +65,7 @@ def test_time_attribute_window():
         {"type": "B", "ts": 5},
         {"type": "B", "ts": 100},
     ]
-    batches = _feed(eng, stream, ts_of=lambda t, i: float(t["ts"]))
+    batches = feed(eng, stream, ts_of=lambda t, i: float(t["ts"]))
     assert set(batches[1]) == {(0, 1, (0, 1))}
     assert batches[2] == []  # 100 - 0 > 10
 
@@ -86,7 +78,7 @@ def test_window_gc_bounds_active_state():
     sizes = []
     stream = stream_of(*(["A", "B"] * 500))  # C never arrives
     for i, t in enumerate(stream):
-        eng.process(t, pos=i)
+        eng.process(t, float(i), i)
         sizes.append(sum(len(ul) for ul in eng.T.values()))
     assert max(sizes[100:]) <= max(sizes[:100]) + 2  # flat, not growing
 
@@ -94,10 +86,10 @@ def test_window_gc_bounds_active_state():
 def test_no_window_means_no_pruning():
     eng = CoreEngine(compile_cel(cel.Seq(A, B)))
     for i in range(50):
-        eng.process({"type": "A"}, pos=i)
+        eng.process({"type": "A"}, float(i), i)
     # every A keeps an open partial match alive
     assert any(len(ul) > 0 for ul in eng.T.values())
-    got = eng.process({"type": "B"}, pos=50)
+    got = eng.process({"type": "B"}, 50.0, 50)
     assert len(got) == 50
 
 
@@ -132,7 +124,7 @@ def test_window_state_after_every_step(phi, segments, window, time_window, consu
 
 def test_stats_counters():
     eng = CoreEngine(compile_cel(cel.Seq(A, B)))
-    _feed(eng, stream_of("A", "B"))
+    feed(eng, stream_of("A", "B"))
     assert eng.n_events == 2
     assert eng.n_outputs == 1
     assert eng.n_nodes_created > 0
@@ -144,7 +136,7 @@ def test_debug_mode_invariants_hold_on_busy_stream():
     )
     stream = stream_of(*(["A", "B", "C", "B", "A", "C"] * 20))
     for i, t in enumerate(stream):
-        eng.process(t, pos=i)  # debug asserts fire on violation
+        eng.process(t, float(i), i)  # debug asserts fire on violation
 
 
 @pytest.mark.parametrize("strategy", ["all", "next", "last", "max"])
@@ -153,9 +145,9 @@ def test_strategies_subset_of_all(strategy):
     cea = compile_cel(phi)
     stream = stream_of("A", "B", "B", "C")
     eng_all = CoreEngine(cea)
-    all_out = set().union(*(_feed(eng_all, stream)or [set()])[-1:])
+    all_out = set().union(*(feed(eng_all, stream)or [set()])[-1:])
     eng = CoreEngine(cea, strategy=strategy)
-    out = set().union(*(_feed(eng, stream) or [set()])[-1:])
+    out = set().union(*(feed(eng, stream) or [set()])[-1:])
     assert out <= all_out or strategy == "all"
 
 
@@ -171,12 +163,22 @@ def test_unsupported_strategy_raises(system, strategy):
         make_engine(system, SEQ3, strategy=strategy)
 
 
+def test_all_last_and_max_share_one_detcea():
+    """LAST and MAX filter ALL's matches, so the engines of one CEA under
+    all, last and max share one ``DetCEA``; NEXT branches otherwise and has
+    its own."""
+    cea = compile_cel(cel.seq(A, cel.Plus(B), C))
+    dets = {s: CoreEngine(cea, strategy=s).det for s in ("all", "last", "max", "next")}
+    assert dets["all"] is dets["last"] is dets["max"] is cea.det("all")
+    assert dets["next"] is not dets["all"] and dets["next"] is cea.det("next")
+
+
 def test_next_strategy_single_match_per_start():
     phi = cel.seq(A, B, C)
     cea = compile_cel(phi)
     stream = stream_of("A", "B", "B", "C")
     eng = CoreEngine(cea, strategy="next")
-    batches = _feed(eng, stream)
+    batches = feed(eng, stream)
     # skip-till-next: B at position 1 is consumed, position-2 B is skipped
     assert set(batches[3]) == {(0, 3, (0, 1, 3))}
 
@@ -186,7 +188,7 @@ def test_max_strategy_keeps_maximal_iterations():
     cea = compile_cel(phi)
     stream = stream_of("A", "B", "B", "C")
     eng = CoreEngine(cea, strategy="max")
-    batches = _feed(eng, stream)
+    batches = feed(eng, stream)
     # ALL yields {1},{2},{1,2} for the B-block; MAX keeps only {1,2}
     assert set(batches[3]) == {(0, 3, (0, 1, 2, 3))}
 
@@ -196,7 +198,7 @@ def test_last_strategy_one_match_per_start():
     cea = compile_cel(phi)
     stream = stream_of("A", "B", "B", "C")
     eng = CoreEngine(cea, strategy="last")
-    batches = _feed(eng, stream)
+    batches = feed(eng, stream)
     assert set(batches[3]) == {(0, 3, (0, 2, 3))}  # latest B
 
 
@@ -229,7 +231,7 @@ def test_capped_output_is_subset_of_uncapped(strategy, phi, types, limit, window
     capped = CoreEngine(cea, window, consume=consume, limit=limit, strategy=strategy)
     full = CoreEngine(cea, window, consume=consume, strategy=strategy)
     for i, t in enumerate(stream_of(*types)):
-        got, want = capped.process(t, pos=i), full.process(t, pos=i)
+        got, want = capped.process(t, float(i), i), full.process(t, float(i), i)
         assert set(got) <= set(want)
         assert len(set(got)) == len(got) == min(limit, len(want))
 
@@ -284,7 +286,7 @@ def test_brute_force_agreement_sanity():
     eng = CoreEngine(compile_cel(phi))
     got = set()
     for i, t in enumerate(stream):
-        got |= set(eng.process(t, pos=i))
+        got |= set(eng.process(t, float(i), i))
     assert got == expected
 
 
@@ -400,7 +402,7 @@ def test_process_equals_step_on_the_mask(
     """``process``, which finishes idle tuples itself, leaves the engine
     exactly as ``step`` on the tuple's mask does: after every tuple the
     matches, ``T``'s key order, the union-lists' max-starts, the horizon
-    and the counters agree. Count windows use ``process``'s defaults."""
+    and the counters agree."""
     cea = compile_cel(phi)
     a, b = (
         CoreEngine(cea, window, consume=consume, limit=limit, strategy=strategy)
@@ -409,12 +411,8 @@ def test_process_equals_step_on_the_mask(
     pos, now = 0, 0.0
     for typ, v, idle, gap in segments:
         for t in [{"type": "X"}] * idle + [{"type": typ, "v": v}]:
-            if time_window:
-                now += gap / 2
-                got = a.process(t, now, pos)
-            else:
-                now = float(pos)
-                got = a.process(t)
+            now = now + gap / 2 if time_window else float(pos)
+            got = a.process(t, now, pos)
             assert got == b.step(b.index.mask(t), pos, now)
             assert _entry_state(a) == _entry_state(b)
             pos += 1

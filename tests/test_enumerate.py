@@ -194,6 +194,6 @@ def test_every_output_passes_through_the_module_global(limit):
     rng = random.Random(0)
     with mock.patch.object(core_engine, "enumerate_matches", counting):
         for pos in range(500):
-            eng.process({"type": rng.choice("ABCX")}, pos=pos)
+            eng.process({"type": rng.choice("ABCX")}, float(pos), pos)
     assert eng.n_outputs > 0
     assert sum(appended) == eng.n_outputs

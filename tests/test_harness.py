@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from helpers import by_position
 from repro.cea import cel
 from repro.cea.automaton import compile_cel
 from repro.cea.ceql import compile_query
@@ -19,7 +20,7 @@ TINY = dict(n_events=4000, budget_s=0.03)
 def test_throughput_run_counts_and_respects_budget():
     eng = make_engine("core", SEQ2, window=10, consume=True, limit=10)
     events = typed_stream(100_000, ["A", "B", "X"], seed=0)
-    st = throughput_run(eng, events, budget_s=0.05)
+    st = throughput_run(eng, events, ts_of=by_position, budget_s=0.05)
     assert 0 < st.events <= 100_000
     assert st.elapsed < 1.0
     assert st.throughput > 0 and st.outputs > 0
@@ -27,14 +28,17 @@ def test_throughput_run_counts_and_respects_budget():
 
 def test_throughput_run_finishes_short_stream():
     eng = make_engine("core", SEQ2)
-    st = throughput_run(eng, typed_stream(50, ["A", "B"], seed=1), budget_s=5)
+    st = throughput_run(
+        eng, typed_stream(50, ["A", "B"], seed=1), ts_of=by_position, budget_s=5
+    )
     assert st.events == 50
 
 
 def test_memory_run_returns_positive_peak():
     events = typed_stream(3000, ["A", "B", "X"], seed=0)
     peak = memory_run(
-        lambda: make_engine("sase", SEQ2, window=50), events, budget_s=0.05
+        lambda: make_engine("sase", SEQ2, window=50), events,
+        ts_of=by_position, budget_s=0.05,
     )
     assert peak > 0
 

@@ -25,7 +25,7 @@ def test_partitions_are_independent():
     stream = _events([("A", "x"), ("B", "y"), ("B", "x")])
     out = []
     for i, t in enumerate(stream):
-        out.extend(eng.process(t, pos=i))
+        out.extend(eng.process(t, float(i), i))
     # B@1 is in partition y (no preceding A there); B@2 completes x's match.
     assert out == [(0, 2, (0, 2))]
 
@@ -35,7 +35,7 @@ def test_null_partition_attribute_excluded():
     stream = [{"type": "A", "name": "x"}, {"type": "B"}, {"type": "B", "name": "x"}]
     out = []
     for i, t in enumerate(stream):
-        out.extend(eng.process(t, pos=i))
+        out.extend(eng.process(t, float(i), i))
     assert out == [(0, 2, (0, 2))]
 
 
@@ -48,7 +48,7 @@ def test_nan_partition_attribute_excluded():
     stream += [{"type": "A", "name": "x", "vol": 1.0}, {"type": "B", "name": "x", "vol": 1.0}]
     out = []
     for i, t in enumerate(stream):
-        out.extend(eng.process(t, pos=i))
+        out.extend(eng.process(t, float(i), i))
     assert out == [(5, 6, (5, 6))]
     assert eng.n_partitions == 1
     assert eng.n_events == len(stream)
@@ -65,7 +65,7 @@ def test_pandas_null_partition_keys_excluded(null):
     stream += [{"type": "A", "vol": 1}, {"type": "B", "vol": 1}]
     out = []
     for i, t in enumerate(stream):
-        out.extend(eng.process(t, pos=i))
+        out.extend(eng.process(t, float(i), i))
     assert out == [(4, 5, (4, 5))]
     assert eng.n_partitions == 1
 
@@ -79,7 +79,7 @@ def test_multi_attribute_partitioning():
     ]
     out = []
     for i, t in enumerate(stream):
-        out.extend(eng.process(t, pos=i))
+        out.extend(eng.process(t, float(i), i))
     assert out == [(0, 2, (0, 2))]
     assert eng.n_partitions == 2
 
@@ -89,7 +89,7 @@ def test_positions_are_global():
     stream = _events([("X", "q")] * 5 + [("A", "x"), ("B", "x")])
     out = []
     for i, t in enumerate(stream):
-        out.extend(eng.process(t, pos=i))
+        out.extend(eng.process(t, float(i), i))
     assert out == [(5, 6, (5, 6))]
 
 
@@ -102,7 +102,7 @@ def test_all_systems_agree_under_partitioning(system):
     eng = make_partitioned(system, SEQ, ["name"], window=4)
     got = set()
     for i, t in enumerate(stream):
-        got |= set(eng.process(t, pos=i))
+        got |= set(eng.process(t, float(i), i))
     expected = {(0, 2, (0, 2)), (1, 3, (1, 3)), (1, 5, (1, 5))}
     assert got == expected
 
@@ -114,7 +114,7 @@ def test_window_counts_global_positions():
     stream = _events([("A", "x")] + [("X", "q")] * 5 + [("B", "x")])
     out = []
     for i, t in enumerate(stream):
-        out.extend(eng.process(t, pos=i))
+        out.extend(eng.process(t, float(i), i))
     assert out == []
 
 
@@ -127,13 +127,13 @@ def test_counters():
     eng = make_partitioned("core", SEQ, ["name"])
     stream = _events([("A", "x"), ("B", "x")])
     for i, t in enumerate(stream):
-        eng.process(t, pos=i)
+        eng.process(t, float(i), i)
     assert eng.n_events == 2 and eng.n_outputs == 1 and eng.n_partitions == 1
 
 
 def test_reset_clears_partitions():
     eng = make_partitioned("core", SEQ, ["name"])
-    eng.process({"type": "A", "name": "x"}, pos=0)
+    eng.process({"type": "A", "name": "x"}, 0.0, 0)
     eng.reset()
     assert eng.n_partitions == 0
 

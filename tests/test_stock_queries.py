@@ -61,3 +61,19 @@ def test_rejected_event_creates_no_node():
     assert before > 0
     eng.process({"type": "BUY", "name": "IBM", "stock_time": 1}, 1.0, 1)
     assert eng.n_nodes_created == before
+
+
+@pytest.mark.parametrize("system", ["core", "sase", "esper", "flink"])
+@pytest.mark.parametrize("name", ["Q1", "Q3"])
+def test_process_requires_time_and_position(name, system):
+    """Q1's window is 30,000 units of ``stock_time``, and Q3 runs through
+    ``PartitionedEngine``. A tuple fed without its time or its position is
+    refused: an engine that made the time up from the position would run
+    Q1 over a 30,000-event window instead, with no error."""
+    cq = compile_query(STOCK_QUERIES[name])
+    eng = _make(system, cq, LIMIT)
+    e = STREAM[0]
+    for call in (lambda: eng.process(e, pos=0), lambda: eng.process(e, cq.ts_of(e, 0))):
+        with pytest.raises(TypeError):
+            call()
+    assert eng.n_events == 0
