@@ -11,6 +11,7 @@ Full operator support (disjunction, iteration), unlike SASE.
 """
 from __future__ import annotations
 
+from itertools import chain
 from typing import Dict, List
 
 from ..core.enumerate import Match
@@ -58,11 +59,10 @@ class EsperEngine(BaselineBase):
                         break
                     matches.append((sp, pos, ps))
 
-        # New runs start here.
-        for (mark, dst) in self._transitions(self.q0, mask):
-            deliver(dst, mark, [(pos, now, ())])
-        # Extend retained partial matches, one guard evaluation per state.
-        for state, pms in self.buffers.items():
+        # Extend retained partial matches, one guard evaluation per state. A
+        # new run may start at every position: the loop's first buffer.
+        fresh = (self.q0, [(pos, now, ())])
+        for state, pms in chain((fresh,), self.buffers.items()):
             trans = self._transitions(state, mask)
             if not trans:
                 continue

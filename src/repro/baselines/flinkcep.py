@@ -18,8 +18,7 @@ from __future__ import annotations
 import pickle
 from typing import List
 
-from ..core.enumerate import Match
-from .nfa_base import BaselineBase
+from .nfa_base import RunListEngine
 
 
 def _materialize(cons) -> tuple:
@@ -31,53 +30,21 @@ def _materialize(cons) -> tuple:
     return tuple(out)
 
 
-class FlinkCepEngine(BaselineBase):
-    def __init__(self, *args, **kw):
-        super().__init__(*args, **kw)
-        # Keyed-state backend: pickled list of computation states
-        # (state, start_pos, start_ts, cons-of-positions).
-        self._state_blob: bytes = pickle.dumps([])
+class FlinkCepEngine(RunListEngine):
+    """Runs in a pickled keyed-state blob; a run's positions are a cons
+    chain ``(pos, rest)`` shared with the runs it branched from."""
 
-    def step(self, mask: int, pos: int, now: float) -> List[Match]:
-        self.n_events += 1
-        tau = -float("inf") if self.window is None else now - self.window
+    EMPTY = None
+    positions = staticmethod(_materialize)
 
+    @staticmethod
+    def extend(cons, pos: int) -> tuple:
+        return (pos, cons)
+
+    def load(self) -> List[tuple]:
         # State-backend read (deserialization).
-        runs = pickle.loads(self._state_blob)
+        return pickle.loads(self._state_blob)
 
-        new_runs: List[tuple] = []
-        matches: List[Match] = []
-
-        cap = self.max_runs
-
-        def fire(state, start_pos, start_ts, cons):
-            if cap is not None and len(new_runs) >= cap:
-                self.n_shed_runs += 1
-                return
-            for (mark, dst) in self._transitions(state, mask):
-                nc = (pos, cons) if mark else cons
-                new_runs.append((dst, start_pos, start_ts, nc))
-                if dst in self.finals and (
-                    self.limit is None or len(matches) < self.limit
-                ):
-                    matches.append((start_pos, pos, _materialize(nc)))
-
-        fire(self.q0, pos, now, None)
-        for (state, start_pos, start_ts, cons) in runs:
-            if start_ts < tau:
-                continue
-            fire(state, start_pos, start_ts, cons)
-
-        self.n_outputs += len(matches)
-        if matches and self.consume:
-            new_runs = []
+    def store(self, runs: List[tuple]) -> None:
         # State-backend write (serialization).
-        self._state_blob = pickle.dumps(new_runs)
-        return matches
-
-    def reset(self) -> None:
-        self._state_blob = pickle.dumps([])
-
-    @property
-    def n_partial_matches(self) -> int:
-        return len(pickle.loads(self._state_blob))
+        self._state_blob = pickle.dumps(runs)

@@ -16,8 +16,7 @@ from __future__ import annotations
 from typing import List
 
 from ..cea import cel
-from ..core.enumerate import Match
-from .nfa_base import BaselineBase
+from .nfa_base import RunListEngine
 
 
 def supports(phi: cel.CEL) -> bool:
@@ -25,50 +24,21 @@ def supports(phi: cel.CEL) -> bool:
     return not any(isinstance(n, cel.Or) for n in phi.walk())
 
 
-class SaseEngine(BaselineBase):
-    def __init__(self, *args, **kw):
-        super().__init__(*args, **kw)
-        # runs: (state, start_pos, start_ts, positions-tuple)
-        self.runs: List[tuple] = []
+class SaseEngine(RunListEngine):
+    """Runs in a list; a run's positions are a tuple, copied on extension."""
 
-    def step(self, mask: int, pos: int, now: float) -> List[Match]:
-        self.n_events += 1
-        tau = -float("inf") if self.window is None else now - self.window
+    EMPTY = ()
 
-        new_runs: List[tuple] = []
-        matches: List[Match] = []
+    @staticmethod
+    def extend(path: tuple, pos: int) -> tuple:
+        return path + (pos,)
 
-        cap = self.max_runs
+    @staticmethod
+    def positions(path: tuple) -> tuple:
+        return path
 
-        def fire(state, start_pos, start_ts, positions):
-            if cap is not None and len(new_runs) >= cap:
-                self.n_shed_runs += 1
-                return
-            for (mark, dst) in self._transitions(state, mask):
-                np = positions + (pos,) if mark else positions
-                new_runs.append((dst, start_pos, start_ts, np))
-                if dst in self.finals and (
-                    self.limit is None or len(matches) < self.limit
-                ):
-                    matches.append((start_pos, pos, np))
+    def load(self) -> List[tuple]:
+        return self.runs
 
-        # A new run may start at every position.
-        fire(self.q0, pos, now, ())
-        for (state, start_pos, start_ts, positions) in self.runs:
-            if start_ts < tau:
-                continue  # window pruning
-            fire(state, start_pos, start_ts, positions)
-
-        self.n_outputs += len(matches)
-        if matches and self.consume:
-            self.runs = []
-        else:
-            self.runs = new_runs
-        return matches
-
-    def reset(self) -> None:
-        self.runs = []
-
-    @property
-    def n_partial_matches(self) -> int:
-        return len(self.runs)
+    def store(self, runs: List[tuple]) -> None:
+        self.runs = runs

@@ -132,12 +132,22 @@ class CompiledQuery:
 
     def ts_of(self, event: Mapping[str, Any], pos: int) -> float:
         """The event's ``time_attr`` value; ``pos`` when the query has no
-        time attribute or the value is NULL (see ``is_null``), as in
-        ``spark.batch.feed``."""
+        time attribute or the value is NULL (see ``is_null``)."""
         if self.time_attr is None:
             return float(pos)
         v = event.get(self.time_attr)
         return float(pos) if is_null(v) else float(v)
+
+    def ts_of_frame(self, frame: Any, pos: Any) -> Any:
+        """``ts_of`` of every row of a pandas ``frame`` at once, as a float
+        array; ``pos`` is the rows' position array."""
+        import numpy as np
+
+        if self.time_attr is None or self.time_attr not in frame.columns:
+            return pos.astype(float)
+        col = frame[self.time_attr]
+        times = col.where(col.notna(), np.nan).astype(float).to_numpy()
+        return np.where(np.isnan(times), pos, times)
 
 
 class _Parser:

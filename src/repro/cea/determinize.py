@@ -145,28 +145,24 @@ class DetCEA:
         them is final, so it leaves the configuration as it is and ends no
         complex event. Otherwise it is ``(init, ops, finals, next_table)``:
 
-        * ``init`` — the initial state's ``(q_mark, q_unmark)``, or None when
-          it has no successor (no run starts here);
+        * ``init`` — whether a run starts here: the initial state has a
+          successor, and its op is ``ops[0]``;
         * ``ops`` — one ``(p, q_mark, q_unmark, copy)`` per state ``p`` of
-          ``config`` that has a successor, in ``config``'s order; ``copy``
+          ``(q0,) + config`` that has a successor, in that order; ``copy``
           says ``p`` has only a non-marking successor and it is new to the
-          next configuration, so ``p``'s union-list moves there as it is;
+          next configuration, so ``p``'s union-list moves there as it is.
+          The engine gives ``q0`` a one-bottom union-list (Algorithm 1,
+          lines 7-8) and runs its op like any other. ``q0`` is in no
+          configuration: the CEA's initial state has no incoming transition;
         * ``finals`` — the final states of the next configuration, in order;
         * ``next_table`` — the next configuration's plan table.
         """
         step = self.step
         share = self._parts.setdefault
-        init = step(self.q0, mask)
         # The next configuration: T2's keys in insertion order.
         nxt: Dict[int, None] = {}
-        if init == (None, None):
-            init = None
-        else:
-            for q in init:
-                if q is not None:
-                    nxt.setdefault(q)
         ops = []
-        for p in config:
+        for p in (self.q0,) + config:
             q_mark, q_unmark = step(p, mask)
             if q_mark is None and q_unmark is None:
                 continue
@@ -176,8 +172,9 @@ class DetCEA:
                 nxt.setdefault(q_mark)
             if q_unmark is not None:
                 nxt.setdefault(q_unmark)
+        init = bool(ops) and ops[0][0] == self.q0
         finals = tuple(q for q in nxt if self._finals[q])
-        if init is None and not finals and ops == [(p, None, p, True) for p in config]:
+        if not finals and ops == [(p, None, p, True) for p in config]:
             plan: Plan = False
         else:
             ops_t = tuple(ops)

@@ -17,9 +17,11 @@ Per input tuple the engine:
    counts it, and prunes (step 6) when the window allows. Steps 3–5 run
    the plan of every other tuple;
 3. starts a potential new run from the (I/O-determinized, on-the-fly) initial
-   state — runs may begin at any stream position. The fresh bottom node is
-   built only when the plan says the initial state has a successor, so a
-   tuple no run can start on allocates nothing;
+   state — runs may begin at any stream position. As in the paper (lines
+   7–8), the initial state gets a fresh one-bottom union-list and takes its
+   transitions in the same loop as the active states: its op is the plan's
+   first. The bottom is built only when the plan says the initial state has
+   a successor, so a tuple no run can start on allocates nothing;
 4. executes the marking/non-marking transitions of every active state with
    a successor, in *insertion order* (``ordered-keys``), which processes
    states in non-increasing max-start order — the precondition of
@@ -48,9 +50,8 @@ Per input tuple the engine:
 
    Both run on busy tuples; an idle tuple only prunes. Neither is undone:
    on input whose time steps back (the NULL-time fallback to ``pos`` of
-   ``CompiledQuery.ts_of`` and ``spark.batch.feed``), a tail once popped
-   and an edge once cut stay gone, though an earlier window would reach
-   them again.
+   ``CompiledQuery.ts_of``), a tail once popped and an edge once cut stay
+   gone, though an earlier window would reach them again.
 
 Cost per tuple is O(|Q|·|Δ|) plus enumeration — constant in data complexity,
 independent of stream length, window size and number of partial matches;
@@ -176,17 +177,11 @@ class CoreEngine(EngineBase):
         tecs = self.tecs
         T = self.T
         T2: Dict[int, List[Node]] = {}
-        # Lines 7-8: a new run may start at the current position.
-        if init is not None:
-            b = tecs.bottom(pos, now)
-            q_mark, q_unmark = init
-            if q_mark is not None:
-                T2[q_mark] = [tecs.extend(b, pos)]
-            if q_unmark is not None:
-                if q_unmark == q_mark:
-                    tecs.insert(T2[q_unmark], b)
-                else:
-                    T2[q_unmark] = [b]
+        # Lines 7-8: a new run may start at the current position. ``det.q0``
+        # is never a state of T (the CEA's q0 has no incoming transition),
+        # so its bottom goes in T, and its op is the first of the loop below.
+        if init:
+            T[self.det.q0] = [tecs.bottom(pos, now)]
             if now < self._horizon:
                 self._horizon = now
         # Lines 9-20: extend every active state, in insertion order. Each

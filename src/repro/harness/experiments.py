@@ -72,7 +72,7 @@ def _cell(
 
 
 def _query_rows(
-    table: str, qname: str, text: str, events, systems, budget_s
+    table: str, qname: str, text: str, events, budget_s
 ) -> List[Dict[str, Any]]:
     """One row per system for query ``text``; SASE's cell is skipped when
     the query needs disjunction. ``shed_runs`` counts the partial matches a
@@ -81,7 +81,7 @@ def _query_rows(
     q = parse(text)
     cq = compile_query(q)
     rows = []
-    for system in systems:
+    for system in SYSTEMS:
         row = {
             "table": table, "query": qname, "system": system,
             "throughput_eps": float("nan"), "outputs": 0, "shed_runs": 0,
@@ -132,7 +132,6 @@ def table1_sequence(
     window: float = 100,
     n_events: int = 200_000,
     budget_s: Optional[float] = None,
-    systems: Sequence[str] = SYSTEMS,
     seed: int = 0,
 ) -> List[Dict[str, Any]]:
     """Throughput / update-throughput / enumeration-throughput / memory for
@@ -146,7 +145,7 @@ def table1_sequence(
         text = synthetic_query(seq_pattern(n), window)
         cq = compile_query(text)
         events = random_stream(n_events, n_seq=n, seed=seed)
-        for system in systems:
+        for system in SYSTEMS:
             update_eps = enum_ops = float("nan")
             if system == "core":
                 full, enum_s = _core_cell_split(cq, events, budget)
@@ -183,7 +182,6 @@ def table2_window(
     *,
     n_events: int = 200_000,
     budget_s: Optional[float] = None,
-    systems: Sequence[str] = SYSTEMS,
     seed: int = 0,
 ) -> List[Dict[str, Any]]:
     """A1;A2;A3 with A3 hidden from the stream: every partial match survives
@@ -192,7 +190,7 @@ def table2_window(
     rows = []
     for w in windows:
         cq = compile_query(synthetic_query(seq_pattern(3), w))
-        for system in systems:
+        for system in SYSTEMS:
             st = _cell(system, cq, events, budget_s)
             rows.append(
                 {
@@ -212,14 +210,13 @@ def table3_selection(
     window: float = 100,
     n_events: int = 200_000,
     budget_s: Optional[float] = None,
-    systems: Sequence[str] = SYSTEMS,
     seed: int = 0,
 ) -> List[Dict[str, Any]]:
     """A1;A2;A3, T=100, A3 hidden. CORE runs ALL/NEXT/LAST/MAX; the
     baselines run their default selection strategy (skip-till-next)."""
     events = random_stream(n_events, n_seq=3, hide_last=True, seed=seed)
     cells = [("core", strat) for strat in ("all", "next", "last", "max")]
-    cells += [(system, "next") for system in systems if system != "core"]
+    cells += [(system, "next") for system in SYSTEMS if system != "core"]
     rows = []
     for system, strat in cells:
         cq = compile_query(synthetic_query(seq_pattern(3), window, strat))
@@ -242,7 +239,6 @@ def table4_operators(
     window: float = 100,
     n_events: int = 200_000,
     budget_s: Optional[float] = None,
-    systems: Sequence[str] = SYSTEMS,
     seed: int = 0,
 ) -> List[Dict[str, Any]]:
     rows = []
@@ -252,7 +248,7 @@ def table4_operators(
         events = typed_stream(
             n_events, types + [f"B{i}" for i in range(1, 7)], seed=seed
         )
-        rows += _query_rows("T4", qname, text, events, systems, budget_s)
+        rows += _query_rows("T4", qname, text, events, budget_s)
     return rows
 
 
@@ -263,7 +259,6 @@ def table5_stock(
     *,
     n_events: int = 200_000,
     budget_s: Optional[float] = None,
-    systems: Sequence[str] = SYSTEMS,
     seed: int = 0,
     queries: Optional[Sequence[str]] = None,
 ) -> List[Dict[str, Any]]:
@@ -271,7 +266,7 @@ def table5_stock(
     rows = []
     for qname in queries or sorted(STOCK_QUERIES):
         rows += _query_rows(
-            "T5", qname, STOCK_QUERIES[qname], events, systems, budget_s
+            "T5", qname, STOCK_QUERIES[qname], events, budget_s
         )
     return rows
 

@@ -37,17 +37,12 @@ def feed(engine: Any, frame: pd.DataFrame, query: CompiledQuery) -> List[Match]:
 
     The Spark paths' one way of feeding rows: the predicate masks of the
     whole frame are computed column by column (``PredicateIndex.masks``), and
-    ``pos`` and the time column are read as arrays; a NULL time falls back
-    to ``pos``, as in ``CompiledQuery.ts_of``. Each row is then one
-    ``engine.step``.
+    ``pos`` and the times (``CompiledQuery.ts_of_frame``) are read as
+    arrays. Each row is then one ``engine.step``.
     """
     frame = frame.sort_values("pos")
     pos = frame["pos"].to_numpy(np.int64)
-    now = pos.astype(float)
-    if query.time_attr is not None and query.time_attr in frame.columns:
-        col = frame[query.time_attr]
-        times = col.where(col.notna(), np.nan).astype(float).to_numpy()
-        now = np.where(np.isnan(times), now, times)
+    now = query.ts_of_frame(frame, pos)
     step = engine.step
     out: List[Match] = []
     for m, j, t in zip(engine.index.masks(frame), pos.tolist(), now.tolist()):

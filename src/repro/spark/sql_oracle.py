@@ -3,9 +3,9 @@
 A sequence/disjunction pattern of fixed length n under skip-till-any-match
 (no consumption) is expressible as an n-way self-join over the event table:
 slot i picks an event whose type is in the slot's allowed set and satisfies
-the slot's filters, positions are strictly increasing, the WITHIN window
-bounds ``time(last) − time(first)``, and PARTITION BY becomes equality on
-the partition attributes (with NULLs excluded). The projection matches
+the slot's filters, positions are strictly increasing, the count window
+(``WITHIN n events``) bounds ``pos(last) − pos(first)``, and PARTITION BY
+becomes equality on the partition attributes (with NULLs excluded). The projection matches
 :data:`repro.spark.batch.MATCH_SCHEMA` so test code can call
 ``repro.oracle.assert_equivalent(spark_df, sql, events=...)`` directly.
 
@@ -30,12 +30,11 @@ def sequence_match_sql(
     slots: Sequence[Sequence[str]],
     *,
     window: Optional[float] = None,
-    time_col: str = "pos",
-    table: str = "events",
     partition_by: Sequence[str] = (),
     filters: Optional[Sequence[Sequence[FilterAtom]]] = None,
 ) -> str:
-    """SQL equivalent of ``T1;T2;...;Tn WITHIN window [PARTITION BY ...]``.
+    """SQL equivalent of ``T1;T2;...;Tn WITHIN window events [PARTITION BY
+    ...]`` over table ``events``.
 
     ``slots[i]`` lists the event types slot i accepts (len>1 = disjunction);
     ``filters[i]`` lists extra per-slot predicate atoms.
@@ -56,7 +55,7 @@ def sequence_match_sql(
     for i in range(n - 1):
         conds.append(f"{aliases[i]}.pos < {aliases[i+1]}.pos")
     if window is not None:
-        conds.append(f"{aliases[-1]}.{time_col} - {aliases[0]}.{time_col} <= {window}")
+        conds.append(f"{aliases[-1]}.pos - {aliases[0]}.pos <= {window}")
     for attr in partition_by:
         conds.append(f"{aliases[0]}.{attr} IS NOT NULL")
         for i in range(n - 1):
@@ -71,6 +70,6 @@ def sequence_match_sql(
     return (
         f"SELECT {pkey} AS partition, {aliases[0]}.pos AS start, "
         f'{aliases[-1]}.pos AS "end", concat_ws(\',\', {data}) AS data\n'
-        f"FROM {', '.join(f'{table} {a}' for a in aliases)}\n"
+        f"FROM {', '.join(f'events {a}' for a in aliases)}\n"
         f"WHERE {' AND '.join(conds)}"
     )

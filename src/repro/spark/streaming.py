@@ -8,8 +8,10 @@ Implements automaton-based partial-match maintenance as a
   weak-reference GC analogue: pruned union-lists and cut union edges) keeps
   the tECS it reaches, and so the pickle, bounded by the WITHIN window, not
   by the stream's length per key: about 4–7 kB for ``A1; A2+; A3 WITHIN
-  100 events`` at any length. The pickle still carries the CEA and the
-  ``DetCEA`` interning along with the run state;
+  100 events`` at any length. Along with the run state, the pickle
+  carries what the engine reads of the query, not the CEA itself: for CORE
+  its ``DetCEA`` (the CEA's ``adj``, ``finals`` and predicate index, and
+  the interned det-states);
 * each micro-batch feeds its rows to the engine in arrival order and emits
   the recognized complex events in append mode.
 

@@ -27,6 +27,7 @@ if TYPE_CHECKING:
     import pandas as pd
 
 MAJOR_NAMES = ("MSFT", "ORCL", "CSCO", "AMAT", "INTC", "AMZN", "IBM", "DELL")
+MEAN_GAP_MS = 300.0
 # Base prices chosen so the Q2/Q5 filter thresholds (msft>26, orcl>11.14,
 # amat>=18.92) sit near the middle of each walk.
 _BASE_PRICE = {
@@ -55,41 +56,32 @@ def random_stream(
     *,
     n_seq: int,
     hide_last: bool = False,
-    n_noise: int = 6,
     seed: int = 0,
 ) -> List[Dict[str, Any]]:
     """The paper's RandomStream for sequence queries of length ``n_seq``:
-    types A1..An (An omitted when ``hide_last``) plus B1..B_{n_noise} noise,
-    each with uniform probability."""
+    types A1..An (An omitted when ``hide_last``) plus B1..B6 noise, each
+    with uniform probability."""
     upper = n_seq - 1 if hide_last else n_seq
-    types = [f"A{i}" for i in range(1, upper + 1)] + [
-        f"B{i}" for i in range(1, n_noise + 1)
-    ]
+    types = [f"A{i}" for i in range(1, upper + 1)] + [f"B{i}" for i in range(1, 7)]
     return typed_stream(n_events, types, seed=seed)
 
 
-def stock_stream(
-    n_events: int,
-    *,
-    seed: int = 0,
-    mean_gap_ms: float = 300.0,
-    names: Sequence[str] = MAJOR_NAMES,
-) -> List[Dict[str, Any]]:
+def stock_stream(n_events: int, *, seed: int = 0) -> List[Dict[str, Any]]:
     """Synthetic single-day stock stream (BUY/SELL, name, volume, price,
-    stock_time in ms). ``mean_gap_ms=300`` puts ≈100 events in a 30 000 ms
-    window."""
+    stock_time in ms). Gaps of mean ``MEAN_GAP_MS`` put ≈100 events in a
+    30 000 ms window."""
     g = np.random.default_rng(seed)
-    name_idx = g.integers(0, len(names), n_events)
+    name_idx = g.integers(0, len(MAJOR_NAMES), n_events)
     is_sell = g.random(n_events) < 0.5
     volumes = (g.integers(1, 11, n_events) * 100).astype(int)
-    gaps = np.maximum(1, g.exponential(mean_gap_ms, n_events)).astype(np.int64)
+    gaps = np.maximum(1, g.exponential(MEAN_GAP_MS, n_events)).astype(np.int64)
     times = np.cumsum(gaps)
     # Per-name multiplicative random walk around the base price.
-    walk = {n: _BASE_PRICE[n] for n in names}
+    walk = {n: _BASE_PRICE[n] for n in MAJOR_NAMES}
     events: List[Dict[str, Any]] = []
     steps = g.normal(0.0, 0.01, n_events)
     for k in range(n_events):
-        nm = names[name_idx[k]]
+        nm = MAJOR_NAMES[name_idx[k]]
         walk[nm] = max(0.5, walk[nm] * (1.0 + steps[k]))
         events.append(
             {

@@ -118,6 +118,8 @@ def test_window_state_after_every_step(phi, segments, window, time_window, consu
             now = now + gap / 2 if time_window else float(pos)
             eng.process(t, ts=now, pos=pos)
             pos += 1
+            # The initial state's bottom never outlives its step.
+            assert eng.det.q0 not in eng.T
             for ul in eng.T.values():
                 assert ul and ul[-1].max_start >= now - window
 
@@ -271,7 +273,9 @@ def test_output_builds_no_tecs_nodes(text):
             if plan is None:
                 plan = eng.det.plan(tuple(eng.T), mask)
             ops = plan[1] if plan else ()
-            want = [eng.T[p] for p, _, _, copy in ops if not copy and len(eng.T[p]) >= 2]
+            # The initial state's op reads a one-bottom list: it never merges.
+            want = [eng.T[p] for p, _, _, copy in ops
+                    if p != eng.det.q0 and not copy and len(eng.T[p]) >= 2]
             merged.clear()
             eng.step(mask, pos, float(pos))
             assert [id(ul) for ul in merged] == [id(ul) for ul in want]
