@@ -109,8 +109,9 @@ def test_no_window_means_no_pruning():
 )
 def test_window_state_after_every_step(phi, segments, window, time_window, consume):
     """After every step, T holds only non-empty union-lists whose tails are
-    inside the window; this must hold across long runs of X tuples too,
-    where the engine takes its idle path."""
+    inside the window, and never the initial state, whose op ``step`` runs
+    from a bottom it puts in the old T; this must hold across long runs of
+    X tuples too, where the engine takes its idle path."""
     eng = CoreEngine(compile_cel(phi), window, consume=consume)
     pos, now = 0, 0.0
     for typ, v, noise, gap in segments:
