@@ -11,35 +11,29 @@ from __future__ import annotations
 import argparse
 import sys
 
-from repro.harness import experiments
+from repro.harness.experiments import TABLES
 from repro.harness.metrics import format_table
-
-TABLES = {
-    1: experiments.table1_sequence,
-    2: experiments.table2_window,
-    3: experiments.table3_selection,
-    4: experiments.table4_operators,
-    5: experiments.table5_stock,
-}
 
 
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--table", type=int, required=True, choices=range(1, 7))
+    ap.add_argument("--table", type=int, required=True, choices=sorted(TABLES))
     ap.add_argument(
         "--budget", type=float, default=None,
-        help="seconds of measurement per cell (default REPRO_BENCH_BUDGET or 0.4)",
+        help="seconds of measurement per cell, tables 1-5 "
+        "(default REPRO_BENCH_BUDGET or 0.4)",
     )
     ap.add_argument(
-        "--events", type=int, default=200_000,
-        help="pre-generated stream length",
+        "--events", type=int, default=None,
+        help="pre-generated stream length (default: the table's own)",
     )
     ap.add_argument("--seed", type=int, default=0)
     args = ap.parse_args()
-    if args.table in TABLES:
-        rows = TABLES[args.table](
-            n_events=args.events, budget_s=args.budget, seed=args.seed
-        )
+    kw = {"seed": args.seed}
+    if args.events is not None:
+        kw["n_events"] = args.events
+    if args.table != 6:
+        rows = TABLES[args.table](budget_s=args.budget, **kw)
     else:
         from pyspark.sql import SparkSession
 
@@ -49,9 +43,7 @@ def main() -> None:
             .getOrCreate()
         )
         try:
-            rows = experiments.table6_spark(
-                spark, n_events=min(args.events, 50_000), seed=args.seed
-            )
+            rows = TABLES[6](spark, **kw)
         finally:
             spark.stop()
     print(format_table(rows))

@@ -4,7 +4,7 @@ Each function returns a list of row-dicts (ready for
 :func:`repro.harness.metrics.format_table`) with one row per
 (query-config, system) cell, mirroring the corresponding paper figure.
 Methodology follows Section 6: every cell is one CEQL query run by one
-system over one pre-generated in-memory stream (``_cell``), with a per-cell
+system over one pre-generated in-memory stream (``_row``), with a per-cell
 time budget, consumption policy on for experiments with output, and
 enumeration capped at the first 10 complex events per input tuple.
 """
@@ -12,7 +12,8 @@ from __future__ import annotations
 
 import math
 import time
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from contextlib import contextmanager, nullcontext
+from typing import Any, Dict, Iterator, List, Optional, Sequence
 
 from ..baselines import sase
 from ..cea.ceql import CompiledQuery, compile_query, parse
@@ -62,115 +63,103 @@ def _engine(system: str, cq: CompiledQuery) -> Any:
     return make_engine(system, cq.cea, **kw)
 
 
-def _cell(
-    system: str, cq: CompiledQuery, events, budget_s: Optional[float]
-) -> RunStats:
-    """One table cell: ``cq`` run by ``system`` over ``events``."""
-    return throughput_run(
-        _engine(system, cq), events, budget_s=budget_s, ts_of=cq.ts_of
-    )
+@contextmanager
+def _enumeration_clock() -> Iterator[List[float]]:
+    """Time CORE's Algorithm 2 while the block runs: the engine module's
+    ``enumerate_matches`` is wrapped (the hook ``perfbench/tracing.py``
+    uses) and restored afterwards. Yields ``[seconds spent so far]``."""
+    orig = core_engine.enumerate_matches
+    spent = [0.0]
+
+    def enumerate_matches(*args):
+        t0 = time.perf_counter()
+        res = orig(*args)
+        spent[0] += time.perf_counter() - t0
+        return res
+
+    core_engine.enumerate_matches = enumerate_matches
+    try:
+        yield spent
+    finally:
+        core_engine.enumerate_matches = orig
 
 
-def _query_rows(
-    table: str, qname: str, text: str, events, budget_s
-) -> List[Dict[str, Any]]:
-    """One row per system for query ``text``; SASE's cell is skipped when
-    the query needs disjunction. ``shed_runs`` counts the partial matches a
-    baseline's ``MAX_RUNS`` cap dropped: where it is not 0, the row's
-    outputs and throughput are those of a truncated match set."""
+def _row(
+    table: str, query: str, system: str, text: str, events,
+    budget_s: Optional[float], *, detail: bool = False, **labels: str,
+) -> Dict[str, Any]:
+    """One table cell: CEQL ``text`` run by ``system`` over ``events``.
+
+    The row holds ``table``, ``query``, ``system``, the ``labels`` (Table
+    3's strategy), ``throughput_eps``, ``outputs``, ``shed_runs`` and
+    ``note``. SASE's cell is skipped, with a note, when the query needs
+    disjunction. ``shed_runs`` counts the partial matches a baseline's
+    ``MAX_RUNS`` cap dropped: where it is not 0, the row's outputs and
+    throughput are those of a truncated match set.
+
+    With ``detail`` (Table 1) the row adds CORE's update/enumeration split
+    and the system's memory peak. Enumeration is the time the cell spends in
+    Algorithm 2, update the rest of the cell; the split is NaN for the
+    baselines, which build each match while they extend its run.
+    """
     q = parse(text)
+    row = {
+        "table": table, "query": query, "system": system, **labels,
+        "throughput_eps": float("nan"), "outputs": 0, "shed_runs": 0,
+        "note": "no disjunction support",
+    }
+    if system == "sase" and not sase.supports(q.formula()):
+        return row
     cq = compile_query(q)
-    rows = []
-    for system in SYSTEMS:
-        row = {
-            "table": table, "query": qname, "system": system,
-            "throughput_eps": float("nan"), "outputs": 0, "shed_runs": 0,
-            "note": "no disjunction support",
-        }
-        if system != "sase" or sase.supports(q.formula()):
-            eng = _engine(system, cq)
-            st = throughput_run(eng, events, budget_s=budget_s, ts_of=cq.ts_of)
-            parts = eng.engines.values() if cq.partition_by else [eng]
-            shed = sum(getattr(e, "n_shed_runs", 0) for e in parts)
-            row.update(
-                throughput_eps=st.throughput, outputs=st.outputs, shed_runs=shed, note=""
-            )
-        rows.append(row)
-    return rows
+    eng = _engine(system, cq)
+    timed = detail and system == "core"
+    with _enumeration_clock() if timed else nullcontext([0.0]) as enum_s:
+        st = throughput_run(eng, events, budget_s=budget_s, ts_of=cq.ts_of)
+    parts = eng.engines.values() if cq.partition_by else [eng]
+    row.update(
+        throughput_eps=st.throughput, outputs=st.outputs, note="",
+        shed_runs=sum(getattr(e, "n_shed_runs", 0) for e in parts),
+    )
+    if detail:
+        update_eps = enum_ops = float("nan")
+        if timed:
+            update_eps = RunStats(st.events, st.elapsed - enum_s[0], 0).throughput
+            if enum_s[0] > 0 and st.outputs:
+                enum_ops = st.outputs / enum_s[0]
+        # A fresh query: ``cq``'s DetCEA already holds the plans the cell
+        # above compiled, which the memory peak is to count.
+        fresh = compile_query(q)
+        budget = default_budget() if budget_s is None else budget_s
+        row.update(
+            update_eps=update_eps, enum_ops=enum_ops,
+            memory_bytes=memory_run(
+                lambda: _engine(system, fresh), events,
+                ts_of=cq.ts_of, budget_s=budget / 2,
+            ),
+        )
+    return row
 
 
 # ----------------------------------------------------------------------
 # Table 1 (Figure 7): sequence queries with output.
 # ----------------------------------------------------------------------
-def _core_cell_split(
-    cq: CompiledQuery, events, budget_s: float
-) -> Tuple[RunStats, float]:
-    """CORE's cell and the seconds of it spent in Algorithm 2: the engine
-    module's ``enumerate_matches`` is timed during the run (the hook
-    ``perfbench/tracing.py`` uses) and restored afterwards."""
-    orig = core_engine.enumerate_matches
-    enum_s = 0.0
-
-    def enumerate_matches(*args):
-        nonlocal enum_s
-        t0 = time.perf_counter()
-        res = orig(*args)
-        enum_s += time.perf_counter() - t0
-        return res
-
-    core_engine.enumerate_matches = enumerate_matches
-    try:
-        st = _cell("core", cq, events, budget_s)
-    finally:
-        core_engine.enumerate_matches = orig
-    return st, enum_s
-
-
 def table1_sequence(
     ns: Sequence[int] = (3, 5, 7, 9),
     *,
-    window: float = 100,
     n_events: int = 200_000,
     budget_s: Optional[float] = None,
     seed: int = 0,
 ) -> List[Dict[str, Any]]:
     """Throughput / update-throughput / enumeration-throughput / memory for
-    A1;..;An, n in ``ns``, count window 100, noisy uniform stream. The
-    update/enumeration split is CORE's: enumeration is the time the cell
-    spends in Algorithm 2, update the rest of the cell. It is NaN for the
-    baselines, which build each match while they extend its run."""
-    budget = default_budget() if budget_s is None else budget_s
+    A1;..;An, n in ``ns``, count window 100, noisy uniform stream."""
     rows = []
     for n in ns:
-        text = synthetic_query(seq_pattern(n), window)
-        cq = compile_query(text)
+        text = synthetic_query(seq_pattern(n), 100)
         events = random_stream(n_events, n_seq=n, seed=seed)
-        for system in SYSTEMS:
-            update_eps = enum_ops = float("nan")
-            if system == "core":
-                full, enum_s = _core_cell_split(cq, events, budget)
-                update_eps = RunStats(full.events, full.elapsed - enum_s, 0).throughput
-                if enum_s > 0 and full.outputs:
-                    enum_ops = full.outputs / enum_s
-            else:
-                full = _cell(system, cq, events, budget)
-            # A fresh query: ``cq``'s DetCEA already holds the plans the
-            # cell above compiled, which the memory peak is to count.
-            fresh = compile_query(text)
-            mem = memory_run(
-                lambda: _engine(system, fresh), events,
-                ts_of=cq.ts_of, budget_s=budget / 2,
-            )
-            rows.append(
-                {
-                    "table": "T1", "query": f"seq n={n}", "system": system,
-                    "throughput_eps": full.throughput,
-                    "update_eps": update_eps,
-                    "enum_ops": enum_ops,
-                    "outputs": full.outputs,
-                    "memory_bytes": mem,
-                }
-            )
+        rows += [
+            _row("T1", f"seq n={n}", system, text, events, budget_s, detail=True)
+            for system in SYSTEMS
+        ]
     return rows
 
 
@@ -187,19 +176,14 @@ def table2_window(
     """A1;A2;A3 with A3 hidden from the stream: every partial match survives
     the full window, the worst case for materializing systems."""
     events = random_stream(n_events, n_seq=3, hide_last=True, seed=seed)
-    rows = []
-    for w in windows:
-        cq = compile_query(synthetic_query(seq_pattern(3), w))
-        for system in SYSTEMS:
-            st = _cell(system, cq, events, budget_s)
-            rows.append(
-                {
-                    "table": "T2", "query": f"seq n=3, T={int(w)}",
-                    "system": system, "throughput_eps": st.throughput,
-                    "outputs": st.outputs,
-                }
-            )
-    return rows
+    return [
+        _row(
+            "T2", f"seq n=3, T={int(w)}", system,
+            synthetic_query(seq_pattern(3), w), events, budget_s,
+        )
+        for w in windows
+        for system in SYSTEMS
+    ]
 
 
 # ----------------------------------------------------------------------
@@ -207,7 +191,6 @@ def table2_window(
 # ----------------------------------------------------------------------
 def table3_selection(
     *,
-    window: float = 100,
     n_events: int = 200_000,
     budget_s: Optional[float] = None,
     seed: int = 0,
@@ -215,20 +198,16 @@ def table3_selection(
     """A1;A2;A3, T=100, A3 hidden. CORE runs ALL/NEXT/LAST/MAX; the
     baselines run their default selection strategy (skip-till-next)."""
     events = random_stream(n_events, n_seq=3, hide_last=True, seed=seed)
-    cells = [("core", strat) for strat in ("all", "next", "last", "max")]
-    cells += [(system, "next") for system in SYSTEMS if system != "core"]
-    rows = []
-    for system, strat in cells:
-        cq = compile_query(synthetic_query(seq_pattern(3), window, strat))
-        st = _cell(system, cq, events, budget_s)
-        rows.append(
-            {
-                "table": "T3", "system": system,
-                "strategy": strat.upper() if system == "core" else "DEFAULT",
-                "throughput_eps": st.throughput,
-            }
+    cells = [("core", strat, strat.upper()) for strat in ("all", "next", "last", "max")]
+    cells += [(system, "next", "DEFAULT") for system in SYSTEMS if system != "core"]
+    return [
+        _row(
+            "T3", "seq n=3, T=100", system,
+            synthetic_query(seq_pattern(3), 100, strat), events, budget_s,
+            strategy=label,
         )
-    return rows
+        for system, strat, label in cells
+    ]
 
 
 # ----------------------------------------------------------------------
@@ -236,19 +215,20 @@ def table3_selection(
 # ----------------------------------------------------------------------
 def table4_operators(
     *,
-    window: float = 100,
     n_events: int = 200_000,
     budget_s: Optional[float] = None,
     seed: int = 0,
 ) -> List[Dict[str, Any]]:
     rows = []
     for qname, pattern in T4_PATTERNS.items():
-        text = synthetic_query(pattern, window)
+        text = synthetic_query(pattern, 100)
         types = sorted(parse(text).formula().event_types())
         events = typed_stream(
             n_events, types + [f"B{i}" for i in range(1, 7)], seed=seed
         )
-        rows += _query_rows("T4", qname, text, events, budget_s)
+        rows += [
+            _row("T4", qname, system, text, events, budget_s) for system in SYSTEMS
+        ]
     return rows
 
 
@@ -263,12 +243,11 @@ def table5_stock(
     queries: Optional[Sequence[str]] = None,
 ) -> List[Dict[str, Any]]:
     events = stock_stream(n_events, seed=seed)
-    rows = []
-    for qname in queries or sorted(STOCK_QUERIES):
-        rows += _query_rows(
-            "T5", qname, STOCK_QUERIES[qname], events, budget_s
-        )
-    return rows
+    return [
+        _row("T5", qname, system, STOCK_QUERIES[qname], events, budget_s)
+        for qname in queries or sorted(STOCK_QUERIES)
+        for system in SYSTEMS
+    ]
 
 
 # ----------------------------------------------------------------------
@@ -292,7 +271,9 @@ def table6_spark(
     rows = []
     for qname in queries:
         cq = compile_query(STOCK_QUERIES[qname])
-        driver = _cell("core", cq, events, math.inf)
+        driver = throughput_run(
+            _engine("core", cq), events, budget_s=math.inf, ts_of=cq.ts_of
+        )
         t0 = time.perf_counter()
         spark_out = run_batch(
             spark, pdf, cq, engine="core", limit=OUTPUT_LIMIT
@@ -307,3 +288,14 @@ def table6_spark(
             }
         )
     return rows
+
+
+# Table number -> experiment, read by ``jobs/run_table.py`` and the benches.
+TABLES = {
+    1: table1_sequence,
+    2: table2_window,
+    3: table3_selection,
+    4: table4_operators,
+    5: table5_stock,
+    6: table6_spark,
+}

@@ -10,11 +10,11 @@ import pytest
 from hypothesis import example, given, settings
 
 from helpers import ALL_SYSTEMS, feed, formulas, run_engine_per_event, stream_of
+from reference_loop import ReferenceLoop
 from repro.cea import brute, cel
 from repro.cea.automaton import compile_cel
 from repro.cea.ceql import compile_query
-from repro.core.engine import CoreEngine, _apply_strategy
-from repro.core.enumerate import enumerate_matches
+from repro.core.engine import CoreEngine
 from repro.core.tecs import TECS
 from repro.engines import make_engine
 from repro.harness.stock_queries import STOCK_QUERIES
@@ -295,62 +295,6 @@ def test_brute_force_agreement_sanity():
     assert got == expected
 
 
-class _ReferenceLoop:
-    """Algorithm 1 as the paper writes it, sharing the engine's ``DetCEA``:
-    ``DetCEA.step`` for the initial state and every active state on every
-    tuple, an eagerly built bottom and ``merge``, copied union-lists, and a
-    prune after every tuple. ``CoreEngine``'s cached plans must match it."""
-
-    def __init__(self, det, window, consume, limit, strategy):
-        self.det, self.window, self.consume = det, window, consume
-        self.limit, self.strategy = limit, strategy
-        self.tecs = TECS()
-        self.T = {}
-
-    def step(self, mask, pos, now):
-        det, tecs, T2 = self.det, self.tecs, {}
-
-        def exec_trans(successors, ul, n):
-            q_mark, q_unmark = successors
-            if q_mark is not None:
-                n2 = tecs.extend(n, pos)
-                if q_mark in T2:
-                    tecs.insert(T2[q_mark], n2)
-                else:
-                    T2[q_mark] = [n2]
-            if q_unmark is not None:
-                if q_unmark in T2:
-                    tecs.insert(T2[q_unmark], n)
-                else:
-                    T2[q_unmark] = list(ul)
-
-        b = tecs.bottom(pos, now)
-        exec_trans(det.step(det.q0, mask), [b], b)
-        for p, ul in self.T.items():
-            exec_trans(det.step(p, mask), ul, tecs.merge(ul))
-        self.T = T2
-
-        filtered = self.strategy in ("last", "max")
-        cap = None if filtered else self.limit
-        matches = []
-        for p, ul in T2.items():
-            if det.is_final(p):
-                enumerate_matches(tecs.merge(ul), pos, now, self.window, cap, matches)
-                if cap is not None and len(matches) >= cap:
-                    break
-        if matches and filtered:
-            matches = _apply_strategy(self.strategy, matches)[: self.limit]
-        if matches and self.consume:
-            self.T = {}
-        elif self.window is not None:
-            for p, ul in list(T2.items()):
-                while ul and ul[-1].max_start < now - self.window:
-                    ul.pop()
-                if not ul:
-                    del T2[p]
-        return matches
-
-
 def _window_state(T):
     return [(p, [n.max_start for n in ul]) for p, ul in T.items()]
 
@@ -371,8 +315,9 @@ def _window_state(T):
 def test_cached_plans_match_reference_loop(strategy, phi, events, window, limit, consume):
     """After every tuple the engine's matches, ``T`` key order and
     union-list max-starts equal those of the per-state reference loop."""
-    eng = CoreEngine(compile_cel(phi), window, consume=consume, limit=limit, strategy=strategy)
-    ref = _ReferenceLoop(eng.det, window, consume, limit, strategy)
+    cea = compile_cel(phi)
+    eng = CoreEngine(cea, window, consume=consume, limit=limit, strategy=strategy)
+    ref = ReferenceLoop(cea, window, consume, limit, strategy)
     now = 0.0
     for pos, (typ, v, gap) in enumerate(events):
         now += gap

@@ -157,6 +157,17 @@ def test_table5_rows_report_shed_runs(monkeypatch):
     assert all(r["shed_runs"] == 0 for r in rows)
 
 
+def test_table2_and_table3_rows_report_shed_runs(monkeypatch):
+    """Tables 2 and 3 say where the ``MAX_RUNS`` cap shed partial matches,
+    as Tables 4 and 5 do: every baseline row sheds at a cap of 10, and no
+    CORE row does."""
+    monkeypatch.setattr(experiments, "MAX_RUNS", 10)
+    rows = experiments.table2_window(**TINY) + experiments.table3_selection(**TINY)
+    assert {r["table"] for r in rows} == {"T2", "T3"}
+    for r in rows:
+        assert (r["shed_runs"] > 0) == (r["system"] != "core"), r
+
+
 def test_table6_spark_smoke(spark):
     rows = experiments.table6_spark(spark, n_events=3000, queries=("Q3",))
     (row,) = rows

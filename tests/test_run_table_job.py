@@ -12,7 +12,9 @@ import pytest
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
-@pytest.mark.parametrize("table, cells", [(2, 4 * 4), (5, 7 * 4)])
+@pytest.mark.parametrize(
+    "table, cells", [(1, 4 * 4), (2, 4 * 4), (3, 7), (4, 4 * 4), (5, 7 * 4)]
+)
 def test_run_table_prints_a_row_per_cell(table, cells):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
