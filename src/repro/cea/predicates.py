@@ -144,28 +144,34 @@ def _kernel_factory(shape: _Shape) -> Callable[..., Callable[[Mapping[str, Any]]
     ``inspect.getsource`` and tracebacks show the kernel.
     """
     params = ["unhashable"]
-    body = ["    def mask(t):", "        m = 0"]
+    body = ["    def mask(t):"]
+    if not shape or shape[0][1]:  # else the first table lookup starts ``m``
+        body.append("        m = 0")
     for i, (has_table, ops) in enumerate(shape):
         params.append(f"a{i}")
-        body += [f"        v = t.get(a{i})", "        if v is not None:"]
+        body.append(f"        v = t.get(a{i})")
+        ind = " " * (12 if ops else 8)
+        if ops:  # no table holds None (see ``PredicateIndex``)
+            body.append("        if v is not None:")
         if has_table:
             params.append(f"e{i}")
+            m = "m =" if i == 0 and not ops else "m |="
             body += [
-                "            try:",
-                f"                m |= e{i}.get(v, 0)",
-                "            except TypeError:",
-                f"                m |= unhashable(v, e{i})",
+                f"{ind}try:",
+                f"{ind}    {m} e{i}.get(v, 0)",
+                f"{ind}except TypeError:",
+                f"{ind}    {m} unhashable(v, e{i})",
             ]
         for k, op in enumerate(ops):
             if op not in _OPS:
                 raise ValueError(f"unsupported predicate op {op!r}")
             params += [f"c{i}_{k}", f"b{i}_{k}"]
             body += [
-                "            try:",
-                f"                if v {op} c{i}_{k}:",
-                f"                    m |= b{i}_{k}",
-                "            except TypeError:",
-                "                pass",
+                f"{ind}try:",
+                f"{ind}    if v {op} c{i}_{k}:",
+                f"{ind}        m |= b{i}_{k}",
+                f"{ind}except TypeError:",
+                f"{ind}    pass",
             ]
     body += ["        return m", "    return mask"]
     src = "\n".join([f"def make({', '.join(params)}):"] + body) + "\n"
@@ -189,13 +195,15 @@ class PredicateIndex:
     Equality atoms, almost all of a query's atoms (event types, names), are
     grouped per attribute into one ``{constant: bits}`` table, so a tuple
     costs one ``get`` and one dict lookup per equality-tested attribute plus
-    one comparison per other atom. ``mask`` is not a method but a generated
-    straight-line function, the *mask kernel*, that does exactly that with
-    no loop: its source depends only on the index's shape (per attribute,
-    whether it has a table and the ops of its other atoms), is compiled
-    once per shape per process (``_kernel_factory``), and gets this index's
-    attribute names, tables, constants and bits through its closure. A
-    pickled index carries only its atoms and rebuilds the kernel.
+    one comparison per other atom. No table holds None or NaN, which equal
+    no value, so an attribute with only a table needs no NULL test. ``mask``
+    is not a method but a generated straight-line function, the *mask
+    kernel*, that does exactly that with no loop: its source depends only
+    on the index's shape (per attribute, whether it has a table and the ops
+    of its other atoms), is compiled once per shape per process
+    (``_kernel_factory``), and gets this index's attribute names, tables,
+    constants and bits through its closure. A pickled index carries only
+    its atoms and rebuilds the kernel.
 
     ``bitvector(t)`` is the per-atom reference the mask is tested against.
     ``masks(frame)`` gives every row's mask of a pandas batch with one
@@ -211,9 +219,9 @@ class PredicateIndex:
         tables: Dict[str, Dict[Any, int]] = {}
         other: Dict[str, List[Tuple[str, Any, int]]] = {}
         for i, a in enumerate(self._atoms):
-            # A NaN constant equals nothing, yet a dict lookup would find it
-            # by identity: keep it out of the table.
-            if a.op == "==" and a.value == a.value:
+            # None and NaN constants equal nothing, yet a dict lookup would
+            # find them (NULL values, NaN by identity): keep them out.
+            if a.op == "==" and a.value is not None and a.value == a.value:
                 table = tables.setdefault(a.attr, {})
                 table[a.value] = table.get(a.value, 0) | 1 << i
             else:

@@ -36,10 +36,11 @@ Per input tuple the engine:
    analogue of the paper's weak-reference GC, in two parts:
 
    * ``_prune`` drops union-list tails whose max-start left the window. It
-     runs only once the window has passed the *horizon*, a lower bound on
-     the least tail max-start in ``T``: every node a step adds starts at or
-     after it, except a bottom, which lowers it to ``now``, so below it
-     pruning would drop nothing;
+     runs only once a tuple's time has passed the *prune deadline*, the
+     horizon (a lower bound on the least tail max-start in ``T``) plus the
+     window, ∞ without WITHIN: every node a step adds starts at or after
+     the horizon, except a bottom, which lowers the deadline to ``now``
+     plus the window, so before it pruning would drop nothing;
    * ``TECS.cut`` replaces the out-of-window right children of the oldest
      union nodes with a dead leaf, so the tECS reachable from ``T`` (and
      from the queue of unions not yet cut) stays within about one window
@@ -73,11 +74,12 @@ whole batch column by column (``PredicateIndex.masks``) and call ``step``.
 ``process(t, ts, pos)``, the per-tuple entry of the harness and of
 ``PartitionedEngine``, takes time and position from its caller, as
 ``EngineBase.process`` does, but is no thin wrapper: it runs steps 1–2
-itself and finishes an idle tuple in its own frame, so idle tuples (59% of
-the ``synth-kleene`` benchmark stream, 46–96% per stock query) never enter
-``step``; only busy tuples, and masks the plan table has not met, go on to
-it. The idle branch is written in both entries, and ``tests/test_engine.py``
-pins the two equal.
+itself and finishes an idle tuple in its own frame with one plan-table
+lookup, one counter and one comparison with the prune deadline, so idle
+tuples (59% of the ``synth-kleene`` benchmark stream, 46–96% per stock
+query) never enter ``step``; only busy tuples, and masks the plan table has
+not met, go on to it. The idle branch is written in both entries, and
+``tests/test_engine.py`` pins the two equal.
 """
 from __future__ import annotations
 
@@ -122,11 +124,11 @@ class CoreEngine(EngineBase):
         # ordered-keys(T): Python dicts preserve insertion order.
         self.T: Dict[int, List[Node]] = {}
         # The {mask: plan} table of T's configuration (kept current wherever
-        # T's keys change), and the horizon: a lower bound on the least tail
-        # max-start in T, exact after each prune (nothing to prune until it
-        # leaves the window).
+        # T's keys change), and the prune deadline: a lower bound on the
+        # least tail max-start in T, exact after each prune, plus the window
+        # (nothing to prune before a tuple's time passes it).
         self._plans = self.det.plan_table(())
-        self._horizon = math.inf
+        self._prune_at = math.inf
         # No ``tecs.cut`` can cut anything while the window is at or before
         # this max-start (see ``TECS.cut``).
         self._cut_at = -math.inf
@@ -143,16 +145,15 @@ class CoreEngine(EngineBase):
     # ------------------------------------------------------------------
     def process(self, t: Mapping[str, Any], ts: float, pos: int) -> List[Match]:
         """``EngineBase.process`` with idle tuples finished here, in one
-        frame: the mask kernel, one plan-table lookup and, for a tuple the
-        table already knows to be idle, ``step``'s idle branch inline. Every
-        other tuple goes on to ``step``."""
+        frame: the mask kernel, one plan-table lookup, one counter and one
+        comparison with the prune deadline, which is ``step``'s idle branch.
+        Every other tuple goes on to ``step``."""
         mask = self.index.mask(t)
         if self._plans.get(mask) is not False:
             return self.step(mask, pos, ts)
         # ``step``'s idle branch (tests/test_engine.py pins the two equal).
         self.n_events += 1
-        w = self.window
-        if w is not None and ts - w > self._horizon:
+        if ts > self._prune_at:
             self._prune(ts)
         return []
 
@@ -167,9 +168,9 @@ class CoreEngine(EngineBase):
         w = self.window
 
         # An idle tuple leaves T as it is and ends no complex event: it can
-        # only prune, and only once the window has passed the horizon.
+        # only prune, and only once its time has passed the prune deadline.
         if plan is False:
-            if w is not None and now - w > self._horizon:
+            if now > self._prune_at:
                 self._prune(now)
             return []
 
@@ -182,8 +183,8 @@ class CoreEngine(EngineBase):
         # so its bottom goes in T, and its op is the first of the loop below.
         if init:
             T[self.det.q0] = [tecs.bottom(pos, now)]
-            if now < self._horizon:
-                self._horizon = now
+            if w is not None and now + w < self._prune_at:
+                self._prune_at = now + w
         # Lines 9-20: extend every active state, in insertion order. Each
         # union-list of T is read by one op, so it can move to T2 uncopied.
         for p, q_mark, q_unmark, copy in ops:
@@ -228,8 +229,9 @@ class CoreEngine(EngineBase):
             self.reset()
         elif w is not None:
             # Every node built here starts at or after the horizon, except a
-            # bottom, which lowered it to ``now``: below it nothing prunes.
-            if tau > self._horizon:
+            # bottom, which lowered the deadline to ``now`` plus the window:
+            # before the deadline nothing prunes.
+            if now > self._prune_at:
                 self._prune(now)
             if tau > self._cut_at:
                 self._cut_at = tecs.cut(tau)
@@ -237,9 +239,7 @@ class CoreEngine(EngineBase):
 
     def _prune(self, now: float) -> None:
         """Window GC: drop union-list tails with max-start out of window,
-        and set the horizon to the least tail max-start left."""
-        if self.window is None:
-            return
+        and set the prune deadline from the least tail max-start left."""
         tau = now - self.window
         horizon = math.inf
         dead = []
@@ -250,7 +250,7 @@ class CoreEngine(EngineBase):
                 dead.append(p)
             elif ul[-1].max_start < horizon:
                 horizon = ul[-1].max_start
-        self._horizon = horizon
+        self._prune_at = horizon + self.window
         if dead:
             for p in dead:
                 del self.T[p]
@@ -260,7 +260,7 @@ class CoreEngine(EngineBase):
     def reset(self) -> None:
         self.T = {}
         self._plans = self.det.plan_table(())
-        self._horizon = math.inf
+        self._prune_at = math.inf
         self.tecs.unions.clear()
         self._cut_at = -math.inf
 

@@ -13,7 +13,8 @@ skipped, per the Section 3 semantics. NULL is None, NaN, ``pd.NA`` or
 ``NaT`` (``is_null``), as in pandas and in the Spark path (``dropna`` before
 grouping). ``process`` takes each tuple's time and position from its caller
 and passes them through unchanged: they are the *global* ones, so outputs
-are comparable across engines and with the SQL oracle.
+are comparable across engines and with the SQL oracle. A one-attribute key
+is read and NULL-tested inline (``is_null`` only for ``pd.NA``).
 """
 from __future__ import annotations
 
@@ -39,21 +40,33 @@ class PartitionedEngine:
             raise ValueError("PartitionedEngine needs at least one attribute")
         self.factory = factory
         self.partition_by = tuple(partition_by)
+        self._attr = self.partition_by[0] if len(self.partition_by) == 1 else None
         self.engines: Dict[Tuple[Any, ...], Any] = {}
         self.n_events = 0
         self.n_outputs = 0
 
     def process(self, t: Mapping[str, Any], ts: float, pos: int) -> List[Match]:
         self.n_events += 1
-        key = tuple(map(t.get, self.partition_by))
-        for v in key:
-            if is_null(v):
-                return []
+        if self._attr is not None:
+            v = t.get(self._attr)
+            try:
+                if v is None or v != v:
+                    return []
+            except TypeError:  # pd.NA; is_null re-raises anything else
+                if is_null(v):
+                    return []
+            key = (v,)
+        else:
+            key = tuple(map(t.get, self.partition_by))
+            for v in key:
+                if is_null(v):
+                    return []
         eng = self.engines.get(key)
         if eng is None:
             eng = self.engines[key] = self.factory()
         out = eng.process(t, ts, pos)
-        self.n_outputs += len(out)
+        if out:
+            self.n_outputs += len(out)
         return out
 
     @property

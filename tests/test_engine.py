@@ -327,7 +327,7 @@ def test_cached_plans_match_reference_loop(strategy, phi, events, window, limit,
 
 
 def _entry_state(eng):
-    return (_window_state(eng.T), eng._horizon, eng.n_events, eng.n_outputs)
+    return (_window_state(eng.T), eng._prune_at, eng.n_events, eng.n_outputs)
 
 
 @pytest.mark.parametrize("strategy", ["all", "next", "last", "max"])
@@ -351,8 +351,8 @@ def test_process_equals_step_on_the_mask(
 ):
     """``process``, which finishes idle tuples itself, leaves the engine
     exactly as ``step`` on the tuple's mask does: after every tuple the
-    matches, ``T``'s key order, the union-lists' max-starts, the horizon
-    and the counters agree."""
+    matches, ``T``'s key order, the union-lists' max-starts, the prune
+    deadline and the counters agree."""
     cea = compile_cel(phi)
     a, b = (
         CoreEngine(cea, window, consume=consume, limit=limit, strategy=strategy)

@@ -1,7 +1,11 @@
 """Tests for PARTITION BY routing (paper Sections 3 and 5.4)."""
+from decimal import Decimal
+
+import hypothesis.strategies as st
 import numpy as np
 import pandas as pd
 import pytest
+from hypothesis import given, settings
 
 from repro.cea import cel
 from repro.cea.automaton import compile_cel
@@ -182,6 +186,38 @@ def test_partitioned_process_equals_step_per_partition(qname):
 
     def state(p):
         T = [(q, [n.max_start for n in ul]) for q, ul in p.T.items()]
-        return T, p._horizon, p.n_events, p.n_outputs
+        return T, p._prune_at, p.n_events, p.n_outputs
 
     assert all(state(eng.engines[k]) == state(r) for k, r in ref.items())
+
+
+MISSING = object()
+# Key values: two keys, and NULL in every form a tuple may carry it.
+KEY_VALUES = [1, 2, None, MISSING, float("nan"), Decimal("NaN"), pd.NA, pd.NaT]
+
+
+@pytest.mark.parametrize("attrs", [("k",), ("k", "j")], ids=["one-attr", "two-attr"])
+@settings(max_examples=60, deadline=None)
+@given(
+    rows=st.lists(
+        st.tuples(st.sampled_from("ABX"), st.sampled_from(KEY_VALUES), st.sampled_from(KEY_VALUES)),
+        max_size=300,
+    ),
+    window=st.sampled_from([None, 3]),
+)
+def test_router_equals_direct_per_key_engines(attrs, rows, window):
+    """``PartitionedEngine`` gives, event by event, the outputs of one
+    ``CoreEngine`` per key fed ``process`` directly, where a row with a
+    NULL or missing key attribute (``pd.isna``) goes to no engine."""
+    eng = make_partitioned("core", SEQ, attrs, window=window)
+    ref = {}
+    for i, (typ, *vals) in enumerate(rows):
+        e = {"type": typ, **{a: v for a, v in zip(attrs, vals) if v is not MISSING}}
+        key = tuple(e.get(a) for a in attrs)
+        want = []
+        if not any(v is None or pd.isna(v) for v in key):
+            r = ref.setdefault(key, make_engine("core", SEQ, window=window))
+            want = r.process(e, float(i), i)
+        assert eng.process(e, float(i), i) == want
+    assert eng.engines.keys() == ref.keys()
+    assert eng.n_events == len(rows)

@@ -28,7 +28,9 @@ constants = (
     st.sampled_from(SCALARS) | st.just(NAN) | st.integers(-3, 3) | st.floats(allow_nan=True)
 )
 values = constants | st.none() | st.just(NAN) | st.lists(st.integers(0, 2), max_size=2)
-atoms = st.builds(Atom, st.sampled_from(ATTRS), st.sampled_from(OPS), constants)
+# An atom's constant may also be None, which no table may hold.
+atom_constants = constants | st.none()
+atoms = st.builds(Atom, st.sampled_from(ATTRS), st.sampled_from(OPS), atom_constants)
 tuples = st.dictionaries(st.sampled_from(ATTRS + ("c",)), values)
 # Attribute names and string constants that would break, or run as, Python
 # if the mask kernel spliced them into its source.
@@ -37,6 +39,7 @@ HOSTILE = [
 ]
 HOSTILE_ATOMS = [Atom(HOSTILE[i], OPS[i % len(OPS)], HOSTILE[-1 - i]) for i in range(len(HOSTILE))]
 HOSTILE_TUPLE = {a: c for a, c in zip(HOSTILE, HOSTILE[1:] + HOSTILE[:1])}
+SYNTH_QUERY = "SELECT * FROM S WHERE A1; A2+; A3 WITHIN 100 events"
 
 
 @pytest.mark.parametrize(
@@ -125,7 +128,7 @@ def test_bitvector_is_hashable_cache_key():
 
 @pytest.mark.parametrize("op", OPS)
 @settings(max_examples=100, deadline=None)
-@given(c=constants, more=st.lists(atoms, max_size=6), t=tuples)
+@given(c=atom_constants, more=st.lists(atoms, max_size=6), t=tuples)
 @example(c="'", more=HOSTILE_ATOMS, t={**HOSTILE_TUPLE, "a": "'"})
 @example(c='"\n', more=HOSTILE_ATOMS, t={h: h for h in HOSTILE})
 def test_mask_agrees_with_atom_eval(op, c, more, t):
@@ -148,6 +151,42 @@ def test_mask_equality_table_edge_cases():
     assert idx.mask({"x": NAN}) == 0  # NaN == NaN is false
     assert idx.mask({"x": [1]}) == 0  # unhashable: compared atom by atom
     assert idx.mask({"x": None}) == idx.mask({}) == 0
+
+
+# NULLs of every kind and an unhashable value, which no table may match.
+ODD_VALUES = [None, NAN, pd.NA, pd.NaT, Decimal("NaN"), [1]]
+
+
+def _bits(idx, t):
+    return [bool(idx.mask(t) >> i & 1) for i in range(len(idx))]
+
+
+def _holds(idx, t):
+    """``bitvector`` as bits: ``pd.NA == c`` is NA, which holds no more
+    than False does."""
+    return [b is True for b in idx.bitvector(t)]
+
+
+@pytest.mark.parametrize("v", ODD_VALUES, ids=repr)
+@pytest.mark.parametrize("query", [SYNTH_QUERY, *(STOCK_QUERIES[q] for q in ("Q1", "Q4", "Q7"))],
+                         ids=["synth", "Q1", "Q4", "Q7"])
+def test_table_only_kernels_on_null_and_unhashable_values(query, v):
+    """The kernels of one (synth) and two (Q1, Q4, Q7) table-only
+    attributes read each attribute with one ``get`` and one table lookup,
+    without a NULL test, and still agree with ``bitvector``."""
+    idx = compile_query(query).cea.det("all").index
+    assert "is not None" not in inspect.getsource(idx.mask)
+    for attr in dict.fromkeys(a.attr for a in idx.atoms):
+        for t in ({attr: v}, {**{a.attr: a.value for a in idx.atoms}, attr: v}):
+            assert _bits(idx, t) == _holds(idx, t)
+
+
+@pytest.mark.parametrize("v", ODD_VALUES + [1, "x", 0], ids=repr)
+def test_equality_with_none_never_holds(v):
+    idx = PredicateIndex([Atom("x", "==", None), Atom("x", "==", 1), Atom("x", "==", "x")])
+    for t in ({"x": v}, {}):
+        assert not idx.mask(t) & 1
+        assert _bits(idx, t) == _holds(idx, t)
 
 
 def test_kernels_of_one_shape_keep_their_own_bindings():
@@ -177,8 +216,6 @@ def test_kernel_source_holds_no_query_text():
     plain = PredicateIndex([Atom(f"x{i}", a.op, i) for i, a in enumerate(HOSTILE_ATOMS)])
     assert plain.mask.__code__ is idx.mask.__code__
 
-
-SYNTH_QUERY = "SELECT * FROM S WHERE A1; A2+; A3 WITHIN 100 events"
 
 
 def test_recompiling_queries_compiles_no_kernel():

@@ -15,6 +15,7 @@ from repro.cea import cel
 from repro.cea.automaton import compile_cel
 from repro.cea.ceql import compile_query, parse
 from repro.cea.determinize import DetCEA
+from repro.cea.predicates import is_null
 from repro.core.engine import CoreEngine
 from repro.engines import make_engine, make_partitioned
 from repro.harness.experiments import T4_PATTERNS, seq_pattern, synthetic_query
@@ -121,6 +122,60 @@ def test_partitions_compile_plans_once(monkeypatch, qname):
     monkeypatch.undo()
     assert eng.n_partitions > 1 and eng.n_outputs > 0
     assert calls[0] <= MAX_PARTITIONED_CALLS
+
+
+def _counting_core(monkeypatch, name):
+    """Count calls of ``CoreEngine.<name>``, patched on the class as the
+    benchmark's tracer patches it, until ``monkeypatch.undo()``."""
+    calls = [0]
+    orig = getattr(CoreEngine, name)
+
+    def counting(self, *args):
+        calls[0] += 1
+        return orig(self, *args)
+
+    monkeypatch.setattr(CoreEngine, name, counting)
+    return calls
+
+
+@pytest.mark.parametrize("qname", ["Q3", "Q6"])
+def test_router_makes_one_process_call_per_routed_tuple(monkeypatch, qname):
+    """The router hands every non-NULL tuple to its partition's
+    ``CoreEngine.process``, once, and does no engine work itself: the
+    partitions make exactly the ``step`` calls that per-key engines fed
+    directly make, so an idle tuple never enters ``step``. Each side
+    compiles the query anew, so both start from empty plan tables."""
+    stream = stock_stream(N_EVENTS, seed=0)
+
+    def run(feed):
+        cq = compile_query(STOCK_QUERIES[qname])
+        kw = dict(window=cq.window, consume=cq.consume, strategy=cq.strategy)
+        process = _counting_core(monkeypatch, "process")
+        step = _counting_core(monkeypatch, "step")
+        feed(cq, kw)
+        monkeypatch.undo()
+        return cq, process[0], step[0]
+
+    def routed(cq, kw):
+        eng = make_partitioned("core", cq.cea, cq.partition_by, **kw)
+        for i, e in enumerate(stream):
+            eng.process(e, cq.ts_of(e, i), i)
+
+    def direct(cq, kw):
+        engines = {}
+        for i, e in enumerate(stream):
+            key = tuple(e.get(a) for a in cq.partition_by)
+            if not any(is_null(v) for v in key):
+                eng = engines.setdefault(key, make_engine("core", cq.cea, **kw))
+                eng.process(e, cq.ts_of(e, i), i)
+
+    cq, process_calls, step_calls = run(routed)
+    _, direct_process, direct_step = run(direct)
+    routed_tuples = sum(
+        not any(is_null(e.get(a)) for a in cq.partition_by) for e in stream
+    )
+    assert process_calls == direct_process == routed_tuples > 0
+    assert step_calls == direct_step < routed_tuples
 
 
 def _table1_stream(n_seq):
